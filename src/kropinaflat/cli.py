@@ -1,9 +1,11 @@
 """Batch front end: parse instance files, dispatch checks, emit reports.
 
 Exit codes: 0 when every requested condition holds, 1 when at least one
-fails, 2 on input/validation errors or inconclusive results.  Reports are
-deterministic for fixed input and seed; timing goes to stderr only so that
-both the text and the JSON payloads stay byte-reproducible.
+fails, 2 on input/validation errors or inconclusive results, 3 on an
+internal fault (any other exception), so that a fault is never read as a
+"fails" verdict.  Reports are deterministic for fixed input and seed;
+timing goes to stderr only so that both the text and the JSON payloads
+stay byte-reproducible.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__, corpus_dir
@@ -19,6 +22,7 @@ from .instancefile import InstanceError, InstanceFile, build_instance, load_inst
 from .kropina import (
     DUALLY_FLAT,
     HAMEL,
+    KropinaInstance,
     check_dually_flat,
     check_projectively_flat,
     check_prop31,
@@ -75,9 +79,19 @@ def _crosscheck_reports(inst, seed: int, points: int) -> list[ConditionReport]:
     return [report]
 
 
-def run_command(command: str, spec: InstanceFile, seed: int | None, points: int | None):
-    """Run one check command on a validated instance; returns report list."""
-    inst = build_instance(spec)
+def run_command(
+    command: str,
+    spec: InstanceFile,
+    seed: int | None,
+    points: int | None,
+    inst: KropinaInstance | None = None,
+):
+    """Run one check command on a validated instance; returns report list.
+
+    `inst` is the instance built from `spec`, if the caller has it already.
+    """
+    if inst is None:
+        inst = build_instance(spec)
     if command == "check-dually-flat":
         return [check_dually_flat(inst)]
     if command == "check-theorem1":
@@ -110,23 +124,29 @@ def exit_code_for(reports: list[ConditionReport]) -> int:
     return 0
 
 
-def _instance_echo(spec: InstanceFile) -> dict:
+def _instance_echo(spec: InstanceFile, inst: KropinaInstance | None = None) -> dict:
     echo = spec.to_dict()
-    try:
-        inst = build_instance(spec)
-        echo["A_canonical"] = str(inst.a)
-        echo["beta_canonical"] = str(inst.b)
-    except InstanceError:
-        pass
+    if inst is None:
+        try:
+            inst = build_instance(spec)
+        except InstanceError:
+            return echo
+    echo["A_canonical"] = str(inst.a)
+    echo["beta_canonical"] = str(inst.b)
     return echo
 
 
-def _document(command: str, spec: InstanceFile, reports: list[ConditionReport]) -> dict:
+def _document(
+    command: str,
+    spec: InstanceFile,
+    reports: list[ConditionReport],
+    inst: KropinaInstance | None = None,
+) -> dict:
     return {
         "tool": "kropinaflat",
         "version": __version__,
         "command": command,
-        "instance": _instance_echo(spec),
+        "instance": _instance_echo(spec, inst),
         "checks": [r.to_dict() for r in reports],
         "exit_code": exit_code_for(reports),
     }
@@ -284,13 +304,23 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(rendered)
         else:
             spec = load_instance_file(args.input)
-            reports = run_command(args.command, spec, args.seed, args.points)
-            document = _document(args.command, spec, reports)
+            inst = build_instance(spec)
+            reports = run_command(args.command, spec, args.seed, args.points, inst)
+            document = _document(args.command, spec, reports, inst)
             code = document["exit_code"]
             _emit(document, fmt, args.out)
     except (InstanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a fault of the program, not of the input
+        message = " ".join(str(exc).split())
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {message}"
+            f" (at {Path(where.filename).name}:{where.lineno} in {where.name})",
+            file=sys.stderr,
+        )
+        return 3
     finally:
         elapsed = (time.monotonic() - started) * 1000.0
         print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)

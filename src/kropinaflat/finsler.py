@@ -408,8 +408,44 @@ def minkowski_sufficient(metric: MthRootMetric) -> bool:
 
 # -- irreducibility heuristic ------------------------------------------------
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of sum coeffs[i] t^i, by the rational root theorem."""
+# A line restriction whose cleared integer constant or leading coefficient
+# exceeds this in absolute value is skipped: the rational-root candidates
+# are all p/q with p | const and q | lead, so their number grows with both.
+ROOT_SEARCH_BOUND = 10**4
+
+
+def _divisors(v: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= v:
+        if v % d == 0:
+            out.append(d)
+            out.append(v // d)
+        d += 1
+    return out
+
+
+def _cleared(coeffs: list) -> list[int]:
+    """The rationals in coeffs times the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
+
+
+def _vanishes_at(ints: list[int], p: int, q: int) -> bool:
+    """Whether sum ints[i] t^i is zero at t = p/q (q > 0), in integers."""
+    acc, q_power = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * q_power
+        q_power *= q
+    return acc == 0
+
+
+def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
+    """All rational roots of sum coeffs[i] t^i, by the rational root theorem.
+
+    Returns None, having tried nothing, when the cleared integer constant or
+    leading coefficient exceeds ROOT_SEARCH_BOUND.
+    """
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if not coeffs:
@@ -421,79 +457,120 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return roots
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
+    ints = _cleared(coeffs)
     lead, const = abs(ints[-1]), abs(ints[0])
-
-    def divisors(v: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return out
-
-    def value_at(t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(ints):
-            acc = acc * t + c
-        return acc
-
+    if lead > ROOT_SEARCH_BOUND or const > ROOT_SEARCH_BOUND:
+        return None
     seen = set(roots)
-    for p in divisors(const):
-        for q in divisors(lead):
-            for candidate in (Fraction(p, q), Fraction(-p, q)):
-                if candidate not in seen and value_at(candidate) == 0:
-                    seen.add(candidate)
-                    roots.append(candidate)
+    lead_divisors = _divisors(lead)
+    for p in _divisors(const):
+        for q in lead_divisors:
+            for signed in (p, -p):
+                if _vanishes_at(ints, signed, q):
+                    candidate = Fraction(signed, q)
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        roots.append(candidate)
     return roots
 
 
-def _normalized_linear_form(n: int, coeffs: list[Fraction]) -> MultiPoly | None:
-    nonzero = [c for c in coeffs if c != 0]
-    if not nonzero:
+def _primitive(coeffs: list) -> tuple[int, ...] | None:
+    """The integer multiple of coeffs with gcd 1 and positive first nonzero entry.
+
+    Two coefficient lists get the same tuple exactly when dividing each by
+    its first nonzero entry gives the same normalized list.
+    """
+    ints = _cleared(coeffs)
+    g = math.gcd(*ints)
+    if g == 0:
         return None
-    scale = 1 / nonzero[0]
-    form = MultiPoly.zero(n)
-    for i, c in enumerate(coeffs, start=1):
-        if c != 0:
-            form = form + MultiPoly.var_y(n, i) * (c * scale)
-    return form
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
+
+
+def _at_x(a: MultiPoly, xs: tuple) -> dict[tuple[int, ...], Fraction]:
+    """A at x = xs, as y-exponent -> coefficient."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for (yexp, xexp), c in a.terms.items():
+        value = c
+        for e, v in zip(xexp, xs):
+            if e:
+                value *= v**e
+        out[yexp] = out.get(yexp, Fraction(0)) + value
+    return out
 
 
 def irreducibility_heuristic(metric: MthRootMetric) -> IrreducibilityStatus:
     """Refutation-only evidence about irreducibility of A, never a proof.
 
-    Searches a small integer grid of constant-coefficient y-linear factors
-    (verified by exact division), then restricts A to deterministic and
-    seeded rational lines in y at rational x-points and rational-root-tests
-    the resulting univariate polynomials, lifting any root to a candidate
-    linear factor that is again verified by division.  A verified factor
-    refutes irreducibility; otherwise the status is heuristically
+    Searches a small integer grid of constant-coefficient y-linear factors,
+    then restricts A to deterministic and seeded rational lines in y at
+    rational x-points and rational-root-tests the resulting univariate
+    polynomials, lifting any root to a candidate linear factor.  A verified
+    factor refutes irreducibility; otherwise the status is heuristically
     consistent with it.
+
+    Candidates are deduplicated up to a scalar.  Each new candidate L is
+    first screened on its zero set: x and every y but the one of L's first
+    nonzero coefficient, y_k, are fixed at one integer point, and y_k is
+    solved from L = 0.  If L divided A, A would vanish there, so a nonzero
+    exact value rules L out.  Only a candidate that passes the screen is
+    divided, and exact division verifies every reported factor; the screen
+    changes the cost, never the result.
+
+    The rational-root search skips a line restriction whose cleared integer
+    constant or leading coefficient exceeds ROOT_SEARCH_BOUND in absolute
+    value, so that its cost does not grow with the size of A's
+    coefficients.  Skipping only weakens the refutation; the detail says how
+    many line restrictions were skipped.
     """
     if metric._irreducibility is not None and metric._irreducibility.kind == ASSERTED:
         return metric._irreducibility
     n, a = metric.n, metric.a
 
-    tried: set[frozenset] = set()
+    # Screen point: distinct odd y-values, and x-values away from the 0 and
+    # 1 the line restrictions use.
+    screen_x = tuple(k + 2 for k in range(n))
+    screen_y = tuple(2 * k + 3 for k in range(n))
+    at_screen_x = _at_x(a, screen_x)
+    # on_axis[k]: cleared coefficients in y_k of A at the screen point
+    on_axis = []
+    for k in range(n):
+        coeffs = [Fraction(0)] * (metric.m + 1)
+        for yexp, value in at_screen_x.items():
+            for j, (e, v) in enumerate(zip(yexp, screen_y)):
+                if e and j != k:
+                    value *= v**e
+            coeffs[yexp[k]] += value
+        on_axis.append(_cleared(coeffs))
+    zero_x = (0,) * n
+    tried: set[tuple[int, ...]] = set()
 
-    def try_form(coeffs: list[Fraction]) -> MultiPoly | None:
-        form = _normalized_linear_form(n, coeffs)
-        if form is None:
-            return None
-        key = frozenset(form.terms.items())
-        if key in tried:
+    def try_form(coeffs: list) -> MultiPoly | None:
+        key = _primitive(coeffs)
+        if key is None or key in tried:
             return None
         tried.add(key)
+        k = next(i for i, c in enumerate(key) if c)
+        # L = 0 at y_k = -rest / key[k]
+        rest = sum(c * v for c, v in zip(key[k + 1 :], screen_y[k + 1 :]))
+        if not _vanishes_at(on_axis[k], -rest, key[k]):
+            return None
+        form = MultiPoly(
+            n,
+            {
+                (tuple(int(i == j) for j in range(n)), zero_x): Fraction(c, key[k])
+                for i, c in enumerate(key)
+                if c
+            },
+        )
         if divide_exact(a, form) is not None:
             return form
         return None
 
     for combo in itertools.product(range(-2, 3), repeat=n):
-        factor = try_form([Fraction(c) for c in combo])
+        factor = try_form(list(combo))
         if factor is not None:
             return IrreducibilityStatus(REDUCIBLE, factor=factor, detail="grid linear factor")
 
@@ -504,7 +581,9 @@ def irreducibility_heuristic(metric: MthRootMetric) -> IrreducibilityStatus:
         for _ in range(3)
     ]
     root_seen = False
+    skipped = 0
     for xs in x_points:
+        at_x = _at_x(a, xs)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
@@ -512,15 +591,14 @@ def irreducibility_heuristic(metric: MthRootMetric) -> IrreducibilityStatus:
                 # Restrict to the line y = t e_i + e_j and read off the
                 # univariate coefficients exactly.
                 coeffs = [Fraction(0)] * (metric.m + 1)
-                for (yexp, xexp), c in a.terms.items():
-                    if any(e and k + 1 not in (i, j) for k, e in enumerate(yexp)):
-                        continue
-                    value = c
-                    for k, e in enumerate(xexp):
-                        if e:
-                            value *= xs[k] ** e
-                    coeffs[yexp[i - 1]] += value
-                for root in _rational_roots(coeffs):
+                for yexp, value in at_x.items():
+                    if yexp[i - 1] + yexp[j - 1] == metric.m:
+                        coeffs[yexp[i - 1]] += value
+                roots = _rational_roots(coeffs)
+                if roots is None:
+                    skipped += 1
+                    continue
+                for root in roots:
                     root_seen = True
                     candidate = [Fraction(0)] * n
                     candidate[i - 1] = Fraction(1)
@@ -535,4 +613,9 @@ def irreducibility_heuristic(metric: MthRootMetric) -> IrreducibilityStatus:
         if root_seen
         else "no grid factor and no rational roots on sampled line restrictions"
     )
+    if skipped:
+        detail += (
+            f"; {skipped} of {len(x_points) * n * (n - 1)} line restrictions skipped"
+            f" (integer coefficient above {ROOT_SEARCH_BOUND})"
+        )
     return IrreducibilityStatus(HEURISTICALLY_CONSISTENT, detail=detail)

@@ -164,3 +164,52 @@ def test_three_dimensional_instance(capsys, tmp_path):
     assert "inverse-identities" in out
     code, out = run(capsys, "check-dually-flat", "--input", str(inst))
     assert code == 0  # constant coefficients: still flat
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    import kropinaflat.kropina as kropina
+    from kropinaflat import MultiPoly
+
+    monkeypatch.setattr(
+        kropina, "_residual_expanded", lambda inst, kind, l: MultiPoly.const(inst.n, 1)
+    )
+    code = main(["check-dually-flat", "--input", str(E1)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(
+        "internal error: RuntimeError: dually-flat residual routes disagree;"
+        " implementation fault (at kropina.py:"
+    )
+    assert lines[0].endswith(" in dually_flat_residual)")
+    assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
+
+
+def test_parser_recursion_is_an_internal_fault(capsys, tmp_path):
+    deep = tmp_path / "deep.inst"
+    deep.write_text("n = 2\nm = 3\nA = " + "(" * 1200 + "y1" + ")" * 1200 + "^3 + y2^3\nbeta = y1\n")
+    code = main(["check-dually-flat", "--input", str(deep)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: RecursionError: ")
+    assert len(err.splitlines()) == 2
+
+
+def test_report_reuses_the_built_instance(capsys, monkeypatch):
+    import kropinaflat.cli as cli
+
+    builds = []
+    real_build = cli.build_instance
+
+    def counting_build(spec):
+        builds.append(spec)
+        return real_build(spec)
+
+    monkeypatch.setattr(cli, "build_instance", counting_build)
+    code, out = run(capsys, "check-dually-flat", "--input", str(E1), "--format", "json")
+    assert code == 0
+    assert len(builds) == 1
+    echo = json.loads(out)["instance"]
+    assert echo["A_canonical"] == "y1^3 + y1*y2^2 + y2^3"
+    assert echo["beta_canonical"] == "y1"

@@ -14,6 +14,7 @@ from kropinaflat import (
     OneForm,
     SymmetricTensor,
     derive,
+    divide_exact,
     fundamental_tensor,
     irreducibility_heuristic,
     minkowski_sufficient,
@@ -278,8 +279,6 @@ def test_fundamental_tensor_contraction_random():
 def test_sum_of_cubes_is_reducible():
     status = irreducibility_heuristic(MthRootMetric(2, 3, X("y1^3 + y2^3")))
     assert status.kind == REDUCIBLE
-    from kropinaflat import divide_exact
-
     assert divide_exact(X("y1^3 + y2^3"), status.factor) is not None
 
 
@@ -314,3 +313,55 @@ def test_minkowski_sufficient_cases():
     assert minkowski_sufficient(MthRootMetric(2, 3, X("y1^3 + y1*y2^2 + y2^3")))
     assert not minkowski_sufficient(MthRootMetric(2, 3, X("(1 + x1)*y1^3 + y1*y2^2 + y2^3")))
     assert not minkowski_sufficient(MthRootMetric(2, 3, X("x2*y1^3 + y2^3")))
+
+
+@pytest.mark.parametrize(
+    "n, m, text, factor",
+    [
+        (2, 3, "(y1 + 3*y2)*(y1^2 + y2^2)", "y1 + 3*y2"),
+        (3, 4, "(y2 - 7*y3)*(y1^3 + x1*y2^3 + y3^3)", "y2 - 7*y3"),
+    ],
+)
+def test_root_lift_finds_factor_off_the_grid(n, m, text, factor):
+    status = irreducibility_heuristic(MthRootMetric(n, m, X(text, n=n)))
+    assert status.kind == REDUCIBLE
+    assert str(status.factor) == factor
+    assert status.detail == "line-restriction root lift"
+
+
+def test_grid_reports_the_first_factor_in_grid_order():
+    a = X("(y1 - y2)*(y1 + y2)*(2*y1 + y2)")
+    status = irreducibility_heuristic(MthRootMetric(2, 3, a))
+    assert status.kind == REDUCIBLE
+    assert str(status.factor) == "y1 + y2"
+    assert status.detail == "grid linear factor"
+
+
+def test_big_coefficient_skips_line_restrictions_quickly():
+    import time
+
+    a = X("y1^3 + 123456789012345678901234567891*y2^3 + y1*y2^2")
+    started = time.perf_counter()
+    status = irreducibility_heuristic(MthRootMetric(2, 3, a))
+    assert time.perf_counter() - started < 1.0
+    assert status.kind == HEURISTICALLY_CONSISTENT
+    assert status.detail.endswith(
+        "; 10 of 10 line restrictions skipped (integer coefficient above 10000)"
+    )
+
+
+def test_zero_set_screen_spares_the_division(monkeypatch):
+    import kropinaflat.finsler as finsler
+
+    calls = []
+
+    def counting_divide_exact(num, den):
+        calls.append(den)
+        return divide_exact(num, den)
+
+    monkeypatch.setattr(finsler, "divide_exact", counting_divide_exact)
+    metric = MthRootMetric(4, 6, random_metric_poly(random.Random(46), 4, 6, x_degree=3))
+    status = irreducibility_heuristic(metric)
+    assert status.kind == HEURISTICALLY_CONSISTENT
+    # without the screen each of the 272 distinct grid forms is divided
+    assert len(calls) < 5
