@@ -12,6 +12,9 @@ Grammar (ASCII):
 only inside rational literals such as 1/3.  Variables are x1..xN and
 y1..yN for the dimension N passed to parse().  Exponents must normalize to
 nonnegative integers; anything else is rejected with a positioned error.
+Parentheses may nest at most MAX_NESTING levels deep: each level costs four
+interpreter frames, so the cap keeps any input well inside the recursion
+limit and turns a deeper one into a positioned error.
 
 parse(to_text(p), n) == p for every canonical polynomial p.
 """
@@ -30,6 +33,8 @@ class ParseError(ValueError):
         self.message = message
         self.position = position
 
+
+MAX_NESTING = 100
 
 _INT = "int"
 _NAME = "name"
@@ -69,6 +74,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -141,8 +147,12 @@ class _Parser:
             self.advance()
             return self.variable(value, position)
         if kind == _OP and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", position)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         shown = value if value else "end of input"
@@ -202,7 +212,8 @@ def parse(text: str, n: int) -> MultiPoly:
     """Parse an expression over x1..xn, y1..yn into canonical form.
 
     Raises ParseError (with the 1-based character position) for syntax
-    errors, unknown variables, and negative or fractional exponents.
+    errors, unknown variables, negative or fractional exponents, and
+    parentheses nested deeper than MAX_NESTING.
     """
     if n < 1:
         raise ValueError(f"need at least one variable per block, got n={n}")

@@ -16,6 +16,7 @@ The zero polynomial has an empty term map and prints as "0".
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -315,22 +316,17 @@ class MultiPoly:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, xs: Iterable, ys: Iterable) -> Fraction:
-        """Exact value at a rational point (xs, ys)."""
-        xvals = [Fraction(v) for v in xs]
-        yvals = [Fraction(v) for v in ys]
-        if len(xvals) != self.n or len(yvals) != self.n:
-            raise ValueError(f"point has wrong dimension for n={self.n}")
-        total = Fraction(0)
-        for (yexp, xexp), c in self.terms.items():
-            term = c
-            for e, v in zip(yexp, yvals):
-                if e:
-                    term *= v ** e
-            for e, v in zip(xexp, xvals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        """Exact value at a rational point (xs, ys), computed in integers.
+
+        The point is brought to one common denominator q, so that each
+        coordinate is N_i/q, and the coefficients are cleared by the lcm D
+        of their denominators.  With `top` the largest total degree, every
+        term c * prod v_i^e_i becomes the integer
+        (c*D) * prod N_i^e_i * q^(top - deg), and the value is the sum of
+        those over D * q^top, reduced once.  This is the same rational as a
+        term-by-term Fraction sum, without a gcd per operation.
+        """
+        return self._evaluate(xs, ys, absolute=False)
 
     def evaluate_abs(self, xs: Iterable, ys: Iterable) -> Fraction:
         """Sum of |coeff| * |point|^exponent over all terms.
@@ -338,19 +334,37 @@ class MultiPoly:
         Upper bound for |evaluate| that measures how much cancellation the
         point induces; used to keep numeric sample points well conditioned.
         """
-        xvals = [abs(Fraction(v)) for v in xs]
-        yvals = [abs(Fraction(v)) for v in ys]
-        total = Fraction(0)
+        return self._evaluate(xs, ys, absolute=True)
+
+    def _evaluate(self, xs: Iterable, ys: Iterable, absolute: bool) -> Fraction:
+        ys, xs = tuple(ys), tuple(xs)
+        if len(xs) != self.n or len(ys) != self.n:
+            raise ValueError(f"point has wrong dimension for n={self.n}")
+        if not self.terms:
+            return Fraction(0)
+        # ints and Fractions already carry numerator and denominator.
+        point = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in ys + xs]
+        q = math.lcm(*(v.denominator for v in point))
+        nums = [v.numerator * (q // v.denominator) for v in point]
+        if absolute:
+            nums = [abs(v) for v in nums]
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = max(sum(yexp) + sum(xexp) for yexp, xexp in self.terms)
+        q_pow = [1]
+        for _ in range(top):
+            q_pow.append(q_pow[-1] * q)
+        total = 0
         for (yexp, xexp), c in self.terms.items():
-            term = abs(c)
-            for e, v in zip(yexp, yvals):
+            term = c.numerator * (d // c.denominator)
+            if absolute:
+                term = abs(term)
+            deg = 0
+            for e, v in zip(yexp + xexp, nums):
                 if e:
                     term *= v ** e
-            for e, v in zip(xexp, xvals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+                    deg += e
+            total += term * q_pow[top - deg]
+        return Fraction(total, d * q_pow[top])
 
     # -- printing ----------------------------------------------------------
 

@@ -3,7 +3,11 @@
 Exit codes: 0 when every requested condition holds, 1 when at least one
 fails, 2 on input/validation errors or inconclusive results, 3 on an
 internal fault (any other exception), so that a fault is never read as a
-"fails" verdict.  Reports are deterministic for fixed input and seed;
+"fails" verdict.  `corpus` keeps a fault to its file: that row gets
+`checks: null` and `error: "internal error: <type>: <message>"`, the fault
+and its location go to stderr, the other files still run, and the run
+exits 3.  Reports are deterministic for fixed
+input and seed;
 timing goes to stderr only so that both the text and the JSON payloads
 stay byte-reproducible.
 """
@@ -198,6 +202,16 @@ def _emit(document: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(rendered)
 
 
+def _fault_text(exc: Exception) -> str:
+    """`<type>: <message>` of an internal fault, on one line."""
+    return f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
+def _fault_location(exc: Exception) -> str:
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return f" (at {Path(where.filename).name}:{where.lineno} in {where.name})"
+
+
 # -- corpus ------------------------------------------------------------------
 
 def run_corpus(directory: str | Path) -> tuple[dict, int]:
@@ -222,13 +236,14 @@ def run_corpus(directory: str | Path) -> tuple[dict, int]:
                 if verdict == FAILS:
                     worst = max(worst, 1)
                 elif verdict == INCONCLUSIVE:
-                    worst = 2
+                    worst = max(worst, 2)
         except InstanceError as exc:
-            row["n"] = None
-            row["m"] = None
-            row["checks"] = None
-            row["error"] = str(exc)
-            worst = 2
+            row.update(n=None, m=None, checks=None, error=str(exc))
+            worst = max(worst, 2)
+        except Exception as exc:  # a fault of the program: keep it to this file's row
+            row.update(n=None, m=None, checks=None, error=f"internal error: {_fault_text(exc)}")
+            print(f"internal error in {path.name}: {_fault_text(exc)}{_fault_location(exc)}", file=sys.stderr)
+            worst = 3
         rows.append(row)
     document = {
         "tool": "kropinaflat",
@@ -313,13 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a fault of the program, not of the input
-        message = " ".join(str(exc).split())
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        print(
-            f"internal error: {type(exc).__name__}: {message}"
-            f" (at {Path(where.filename).name}:{where.lineno} in {where.name})",
-            file=sys.stderr,
-        )
+        print(f"internal error: {_fault_text(exc)}{_fault_location(exc)}", file=sys.stderr)
         return 3
     finally:
         elapsed = (time.monotonic() - started) * 1000.0

@@ -8,11 +8,13 @@ to the PowerExpr construction route and never touching the decision path:
   dually flat   R_l = m^2 beta^4 A^(2-4/m) [ L_{x^k y^l} y^k - 2 L_{x^l} ]
   Hamel         H_l = m^2 beta^3 A^(2-2/m) [ Fbar_{x^k y^l} y^k - Fbar_{x^l} ]
 
-Each residual is built twice: once by differentiating the power expression
-and clearing the prefactor, and once from the expanded bracket form; the
-two must agree exactly (internal self-check).  The bracket polynomials C1,
-C2, C3 and the projective condition T feed the theorem checkers, and the
-contraction probes verify the derived identities
+Each residual is built once per instance, by differentiating the power
+expression and clearing the prefactor, and on its first route-checked
+request it is compared once with the expanded bracket form; the two must
+agree exactly (internal self-check).  Residuals, the bracket polynomials
+C1, C2, C3 and the projective condition T are cached on the instance and
+shared by every check; the brackets and T feed the theorem checkers, and
+the contraction probes verify the derived identities
 
   sum_l y^l C1_l = 2m A A_0        sum_l y^l T_l = m A A_0
 
@@ -51,6 +53,10 @@ class KropinaInstance:
         self._a_sq = self.a * self.a
         self._b_sq = self.b * self.b
         self._ys = [MultiPoly.var_y(metric.n, i) for i in range(1, metric.n + 1)]
+        # Derived polynomials built on first request, keyed by (what, l);
+        # MultiPoly is immutable, so callers may share them.
+        self._cache: dict[tuple[str, int], object] = {}
+        self._route_checked: set[tuple[str, int]] = set()
 
     @property
     def n(self) -> int:
@@ -59,6 +65,12 @@ class KropinaInstance:
     @property
     def m(self) -> int:
         return self.metric.m
+
+    def _memo(self, key: tuple[str, int], build):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
 
 def kropina_L(inst: KropinaInstance) -> PowerExpr:
@@ -83,22 +95,28 @@ def condition_brackets(inst: KropinaInstance, l: int) -> tuple[MultiPoly, MultiP
         C3_l = beta_0l beta - 3 beta_l beta_0 - 2 beta beta_xl
 
     R_l = 4 beta^2 C1_l - 8m A beta C2_l - 2m^2 A^2 C3_l, verified once by
-    expansion against the power-expression route.
+    expansion against the power-expression route.  Cached on the instance.
     """
-    d = inst.derived
-    m, a, b = inst.m, inst.a, inst.b
-    k = l - 1
-    c1 = d.a_i[k] * d.a_0 * (4 - m) + a * d.a_0l[k] * m - a * d.a_xl[k] * (2 * m)
-    c2 = d.beta_0 * d.a_i[k] + d.a_0 * inst.beta.b[k]
-    c3 = d.beta_0l[k] * b - inst.beta.b[k] * d.beta_0 * 3 - b * d.beta_xl[k] * 2
-    return c1, c2, c3
+    def build():
+        d = inst.derived
+        m, a, b = inst.m, inst.a, inst.b
+        k = l - 1
+        c1 = d.a_i[k] * d.a_0 * (4 - m) + a * d.a_0l[k] * m - a * d.a_xl[k] * (2 * m)
+        c2 = d.beta_0 * d.a_i[k] + d.a_0 * inst.beta.b[k]
+        c3 = d.beta_0l[k] * b - inst.beta.b[k] * d.beta_0 * 3 - b * d.beta_xl[k] * 2
+        return c1, c2, c3
+
+    return inst._memo(("brackets", l), build)
 
 
 def prop31_condition(inst: KropinaInstance, l: int) -> MultiPoly:
-    """T_l = m A (A_0l - A_xl) - (m-2) A_0 A_l, the projective bracket."""
-    d = inst.derived
-    k = l - 1
-    return inst.a * (d.a_0l[k] - d.a_xl[k]) * inst.m - d.a_0 * d.a_i[k] * (inst.m - 2)
+    """T_l = m A (A_0l - A_xl) - (m-2) A_0 A_l, the projective bracket (cached)."""
+    def build():
+        d = inst.derived
+        k = l - 1
+        return inst.a * (d.a_0l[k] - d.a_xl[k]) * inst.m - d.a_0 * d.a_i[k] * (inst.m - 2)
+
+    return inst._memo(("prop31", l), build)
 
 
 def _hamel_beta_bracket(inst: KropinaInstance, l: int) -> MultiPoly:
@@ -161,22 +179,38 @@ def _residual_expanded(inst: KropinaInstance, kind: str, l: int) -> MultiPoly:
     raise ValueError(f"unknown residual kind {kind!r}")
 
 
+def _cached_residual(inst: KropinaInstance, kind: str, l: int, self_check: bool) -> tuple[MultiPoly, bool]:
+    """The residual, built once per instance, and whether its routes agree.
+
+    With self_check, the first request for a key compares it exactly with
+    the expanded route; a key that agreed once is not compared again.
+    """
+    key = (kind, l)
+    poly = inst._memo(key, lambda: _residual_pexpr(inst, kind, l))
+    if self_check and key not in inst._route_checked:
+        if poly != _residual_expanded(inst, kind, l):
+            return poly, False
+        inst._route_checked.add(key)
+    return poly, True
+
+
 def dually_flat_residual(inst: KropinaInstance, l: int, self_check: bool = True) -> MultiPoly:
     """Cleared dually-flat residual R_l, zero for all l iff dually flat.
 
-    Built from the power expression of L; with self_check (the default) the
-    expanded bracket form is recomputed and must agree exactly.
+    Built once per instance from the power expression of L; with self_check
+    (the default) the expanded bracket form must agree exactly, which is
+    checked once per instance and l.
     """
-    poly = _residual_pexpr(inst, DUALLY_FLAT, l)
-    if self_check and poly != _residual_expanded(inst, DUALLY_FLAT, l):
+    poly, agrees = _cached_residual(inst, DUALLY_FLAT, l, self_check)
+    if not agrees:
         raise RuntimeError("dually-flat residual routes disagree; implementation fault")
     return poly
 
 
 def hamel_residual(inst: KropinaInstance, l: int, self_check: bool = True) -> MultiPoly:
-    """Cleared Hamel residual H_l, zero for all l iff projectively flat."""
-    poly = _residual_pexpr(inst, HAMEL, l)
-    if self_check and poly != _residual_expanded(inst, HAMEL, l):
+    """Cleared Hamel residual H_l, zero for all l iff projectively flat (cached like R_l)."""
+    poly, agrees = _cached_residual(inst, HAMEL, l, self_check)
+    if not agrees:
         raise RuntimeError("Hamel residual routes disagree; implementation fault")
     return poly
 
@@ -565,15 +599,16 @@ def numeric_crosscheck(
     point: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
     h,
     tolerance: float | None = None,
-    self_check: bool = False,
 ) -> CrosscheckResult:
     """Independent finite-difference oracle for the cleared residuals.
 
     Computes the PDE residual at the point by second-order central
     differences of the floating-point L (or Fbar), divides the exact
     polynomial residual by the evaluated clearing prefactor, and reports
-    the relative disagreement per index l.  Polynomial evaluation at the
-    stencil points is exact; only the fractional powers are floating.
+    the relative disagreement per index l.  The residual is the instance's
+    cached, route-checked one, so repeated points rebuild nothing.
+    Polynomial evaluation at the stencil points is exact; only the
+    fractional powers are floating.
 
     Stencil truncation and rounding both scale with the magnitude of the
     differentiated function, not with the (often much smaller) residual,
@@ -612,9 +647,9 @@ def numeric_crosscheck(
     function_scale = abs(_phi_value(inst, kind, xs, ys))
     for l in range(1, n + 1):
         if kind == DUALLY_FLAT:
-            residual = dually_flat_residual(inst, l, self_check=self_check)
+            residual = dually_flat_residual(inst, l)
         else:
-            residual = hamel_residual(inst, l, self_check=self_check)
+            residual = hamel_residual(inst, l)
         symbolic = float(residual.evaluate(xs, ys)) / prefactor
 
         numeric = 0.0

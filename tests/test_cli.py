@@ -186,14 +186,54 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
 
 
-def test_parser_recursion_is_an_internal_fault(capsys, tmp_path):
+def test_deep_parentheses_are_a_positioned_input_error(capsys, tmp_path):
     deep = tmp_path / "deep.inst"
     deep.write_text("n = 2\nm = 3\nA = " + "(" * 1200 + "y1" + ")" * 1200 + "^3 + y2^3\nbeta = y1\n")
     code = main(["check-dually-flat", "--input", str(deep)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == "error: key 'A': parentheses nested deeper than 100 levels (position 101)"
+    assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
+    assert "Traceback" not in captured.err
+
+
+def test_corpus_keeps_a_fault_to_its_row(capsys, monkeypatch):
+    import kropinaflat.cli as cli
+
+    code, clean = run(capsys, "corpus", "--format", "json")
+    assert code == 1
+    real_build = cli.build_instance
+
+    def build(spec):  # a fault of the program on one file only
+        if Path(spec.source).name == "minkowski.inst":
+            raise ZeroDivisionError("injected\nfault")
+        return real_build(spec)
+
+    monkeypatch.setattr(cli, "build_instance", build)
+    code, out = run(capsys, "corpus", "--format", "json")
     assert code == 3
-    assert err.startswith("internal error: RecursionError: ")
-    assert len(err.splitlines()) == 2
+    document = json.loads(out)
+    assert document["exit_code"] == 3
+    rows = {row["file"]: row for row in document["rows"]}
+    assert rows["minkowski.inst"] == {
+        "file": "minkowski.inst",
+        "n": None,
+        "m": None,
+        "checks": None,
+        "error": "internal error: ZeroDivisionError: injected fault",
+    }
+    others = [r for r in json.loads(clean)["rows"] if r["file"] != "minkowski.inst"]
+    assert [rows[r["file"]] for r in others] == others
+    code = main(["corpus"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "internal error: ZeroDivisionError: injected fault" in captured.out
+    assert captured.out.rstrip().endswith("exit: 3")
+    assert captured.err.startswith(
+        "internal error in minkowski.inst: ZeroDivisionError: injected fault (at test_cli.py:"
+    )
 
 
 def test_report_reuses_the_built_instance(capsys, monkeypatch):

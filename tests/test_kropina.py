@@ -316,3 +316,83 @@ def test_probes_random_instances():
     for _ in range(25):
         inst = random_instance(rng)
         assert contraction_probes(inst).overall == HOLDS
+
+
+# -- one build per residual ---------------------------------------------------------
+
+SEED11 = "random-seed-11.inst"
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count the builds of each residual route, keyed by (kind, l)."""
+    import kropinaflat.kropina as kropina
+
+    counts = {"pexpr": [], "expanded": []}
+    for route, name in (("pexpr", "_residual_pexpr"), ("expanded", "_residual_expanded")):
+        real = getattr(kropina, name)
+
+        def counting(inst, kind, l, real=real, calls=counts[route]):
+            calls.append((kind, l))
+            return real(inst, kind, l)
+
+        monkeypatch.setattr(kropina, name, counting)
+    return counts
+
+
+def _seed11_spec():
+    from kropinaflat import corpus_dir, load_instance_file
+
+    return load_instance_file(f"{corpus_dir()}/{SEED11}")
+
+
+def _each_key_once(calls) -> bool:
+    keys = [(kind, l) for kind in (DUALLY_FLAT, HAMEL) for l in (1, 2)]
+    return sorted(calls) == sorted(keys)
+
+
+def test_crosscheck_builds_each_residual_once_by_each_route(build_counts):
+    from kropinaflat.cli import run_command
+
+    run_command("crosscheck", _seed11_spec(), None, None)
+    assert _each_key_once(build_counts["pexpr"])
+    assert _each_key_once(build_counts["expanded"])
+
+
+def test_corpus_checks_build_each_residual_once_by_each_route(build_counts):
+    from kropinaflat import build_instance
+    from kropinaflat.cli import _CORPUS_CHECKS
+
+    inst = build_instance(_seed11_spec())
+    for _, check in _CORPUS_CHECKS:
+        check(inst)
+    assert _each_key_once(build_counts["pexpr"])
+    assert _each_key_once(build_counts["expanded"])
+
+
+def test_crosscheck_route_disagreement_exits_three(capsys, monkeypatch):
+    import kropinaflat.kropina as kropina
+    from kropinaflat import corpus_dir
+    from kropinaflat.cli import main
+
+    monkeypatch.setattr(
+        kropina, "_residual_expanded", lambda inst, kind, l: MultiPoly.const(inst.n, 1)
+    )
+    code = main(["crosscheck", "--input", f"{corpus_dir()}/{SEED11}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: RuntimeError: dually-flat residual routes disagree"
+    )
+
+
+def test_residual_cache_is_shared_and_route_checked_once(build_counts):
+    inst = make_instance("(1 + x1)*y1^3 + y1*y2^2 + y2^3", "y1")
+    unchecked = dually_flat_residual(inst, 1, self_check=False)
+    assert build_counts["expanded"] == []
+    assert dually_flat_residual(inst, 1) is unchecked
+    assert dually_flat_residual(inst, 1) is unchecked
+    assert build_counts == {"pexpr": [(DUALLY_FLAT, 1)], "expanded": [(DUALLY_FLAT, 1)]}
+    assert condition_brackets(inst, 2) is condition_brackets(inst, 2)
+    assert prop31_condition(inst, 2) is prop31_condition(inst, 2)

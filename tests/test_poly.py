@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kropinaflat import MultiPoly, divide_exact, find_nonzero_point, parse
 
@@ -164,6 +166,58 @@ def test_evaluate_is_ring_morphism():
         ys = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
         assert (p * q).evaluate(xs, ys) == p.evaluate(xs, ys) * q.evaluate(xs, ys)
         assert (p + q).evaluate(xs, ys) == p.evaluate(xs, ys) + q.evaluate(xs, ys)
+
+
+H = Fraction(1e-4)  # the oracle's step: a denominator of 2^66
+
+
+def _reference_value(p: MultiPoly, xs, ys, absolute: bool = False) -> Fraction:
+    """Plain per-term Fraction evaluation, independent of MultiPoly.evaluate."""
+    total = Fraction(0)
+    for (yexp, xexp), c in p.terms.items():
+        term = abs(c) if absolute else c
+        for e, v in zip(yexp + xexp, tuple(ys) + tuple(xs)):
+            term *= (abs(v) if absolute else v) ** e
+        total += term
+    return total
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**4)
+_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5),
+    _rationals,
+    st.builds(lambda base, k: base + k * H, _rationals, st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _poly_and_point(draw):
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.dictionaries(st.tuples(exponents, exponents), _rationals, max_size=8))
+    xs = tuple(draw(_coordinates) for _ in range(n))
+    ys = tuple(draw(_coordinates) for _ in range(n))
+    return MultiPoly(n, terms), xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_and_point())
+def test_integer_evaluate_matches_per_term_fractions(case):
+    p, xs, ys = case
+    value = p.evaluate(xs, ys)
+    assert isinstance(value, Fraction)
+    assert value == _reference_value(p, xs, ys)
+    assert p.evaluate_abs(xs, ys) == _reference_value(p, xs, ys, absolute=True)
+
+
+def test_integer_evaluate_zero_and_constant_polynomials():
+    point = ((Fraction(-3, 7) + H, Fraction(0)), (Fraction(5, 2) - H, Fraction(-1)))
+    assert MultiPoly.zero(2).evaluate(*point) == 0
+    assert MultiPoly.const(2, Fraction(-7, 3)).evaluate(*point) == Fraction(-7, 3)
+    assert MultiPoly.const(2, Fraction(-7, 3)).evaluate_abs(*point) == Fraction(7, 3)
+    with pytest.raises(ValueError):
+        MultiPoly.const(2, 1).evaluate((0, 0, 0), (0,))
 
 
 # -- exact division -----------------------------------------------------------
