@@ -58,10 +58,12 @@ class MultiPoly:
     """Sparse exact-rational polynomial in Q[x1..xn, y1..yn].
 
     Values are immutable after construction; all operations return new
-    polynomials, so instances are safe to share between threads.
+    polynomials, so instances are safe to share between threads.  The
+    integer form that evaluation uses is cached on first use, so `terms`
+    must never be modified in place.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_int_form")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | None = None):
         if n < 1:
@@ -74,6 +76,7 @@ class MultiPoly:
                 if c != 0:
                     clean[mono] = c
         self.terms = clean
+        self._int_form: IntegerForm | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -315,16 +318,44 @@ class MultiPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def integer_form(self) -> IntegerForm:
+        """(D, top, rows): the polynomial with its denominators cleared.
+
+        D is the lcm of the coefficient denominators and top the largest
+        total degree.  Each row is (c*D, the term's nonzero (coordinate,
+        exponent) pairs, top - deg), with coordinates numbered y1..yn,
+        x1..xn.  Computed on first use and kept, since the polynomial is
+        immutable.
+        """
+        form = self._int_form
+        if form is None:
+            d = math.lcm(*(c.denominator for c in self.terms.values()))
+            # Terms share few distinct exponent tuples per block, so the
+            # (coordinate, exponent) pairs and degree of each are found once.
+            yblocks: dict[tuple[int, ...], tuple] = {}
+            xblocks: dict[tuple[int, ...], tuple] = {}
+            rows = []
+            for (yexp, xexp), c in self.terms.items():
+                ypairs, ydeg = yblocks.get(yexp) or yblocks.setdefault(yexp, _block(yexp, 0))
+                xpairs, xdeg = xblocks.get(xexp) or xblocks.setdefault(xexp, _block(xexp, self.n))
+                rows.append((c.numerator * (d // c.denominator), ypairs + xpairs, ydeg + xdeg))
+            top = max((deg for _, _, deg in rows), default=0)
+            form = self._int_form = (d, top, tuple([(c, f, top - deg) for c, f, deg in rows]))
+        return form
+
     def evaluate(self, xs: Iterable, ys: Iterable) -> Fraction:
         """Exact value at a rational point (xs, ys), computed in integers.
 
         The point is brought to one common denominator q, so that each
-        coordinate is N_i/q, and the coefficients are cleared by the lcm D
-        of their denominators.  With `top` the largest total degree, every
-        term c * prod v_i^e_i becomes the integer
-        (c*D) * prod N_i^e_i * q^(top - deg), and the value is the sum of
-        those over D * q^top, reduced once.  This is the same rational as a
-        term-by-term Fraction sum, without a gcd per operation.
+        coordinate is N_i/q, and the polynomial to its cached integer form
+        (D, top, rows).  Every term c * prod v_i^e_i becomes the integer
+        (c*D) * prod N_i^e_i * q^(top - deg); `sum_terms` adds those up, and
+        the value is the sum over D * q^top, reduced once.  This is the
+        same rational as a term-by-term Fraction sum, without a gcd per
+        operation.  A caller that evaluates at many points sharing q, such
+        as the finite-difference stencil, calls `sum_terms` itself and
+        rounds the integer quotient directly: int/int division is correctly
+        rounded, so it equals float() of this value bit for bit.
         """
         return self._evaluate(xs, ys, absolute=False)
 
@@ -340,31 +371,13 @@ class MultiPoly:
         ys, xs = tuple(ys), tuple(xs)
         if len(xs) != self.n or len(ys) != self.n:
             raise ValueError(f"point has wrong dimension for n={self.n}")
-        if not self.terms:
-            return Fraction(0)
-        # ints and Fractions already carry numerator and denominator.
-        point = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in ys + xs]
-        q = math.lcm(*(v.denominator for v in point))
-        nums = [v.numerator * (q // v.denominator) for v in point]
+        nums, q = common_denominator(ys + xs)
+        d, top, rows = self.integer_form()
         if absolute:
             nums = [abs(v) for v in nums]
-        d = math.lcm(*(c.denominator for c in self.terms.values()))
-        top = max(sum(yexp) + sum(xexp) for yexp, xexp in self.terms)
-        q_pow = [1]
-        for _ in range(top):
-            q_pow.append(q_pow[-1] * q)
-        total = 0
-        for (yexp, xexp), c in self.terms.items():
-            term = c.numerator * (d // c.denominator)
-            if absolute:
-                term = abs(term)
-            deg = 0
-            for e, v in zip(yexp + xexp, nums):
-                if e:
-                    term *= v ** e
-                    deg += e
-            total += term * q_pow[top - deg]
-        return Fraction(total, d * q_pow[top])
+            rows = [(abs(c), factors, gap) for c, factors, gap in rows]
+        q_pow = powers(q, top)
+        return Fraction(sum_terms(rows, nums, q_pow), d * q_pow[top])
 
     # -- printing ----------------------------------------------------------
 
@@ -373,6 +386,46 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly(n={self.n}, {to_text(self)!r})"
+
+
+# (D, top, rows); see MultiPoly.integer_form.
+IntegerForm = tuple[int, int, tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]
+
+
+def _block(exps: tuple[int, ...], first: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Nonzero (first + index, exponent) pairs of one exponent block, and its degree."""
+    return tuple((first + i, e) for i, e in enumerate(exps) if e), sum(exps)
+
+
+def sum_terms(rows, nums: list[int], q_pow: list[int]) -> int:
+    """Sum of c * prod nums[i]^e * q_pow[gap] over integer-form rows.
+
+    With every coordinate N_i/q over one denominator q and q_pow[k] = q^k
+    up to the polynomial's top degree, the result over D * q^top is the
+    polynomial's value.
+    """
+    total = 0
+    for c, factors, gap in rows:
+        for i, e in factors:
+            c *= nums[i] ** e
+        total += c * q_pow[gap]
+    return total
+
+
+def powers(q: int, top: int) -> list[int]:
+    """[1, q, q^2, ..., q^top]."""
+    q_pow = [1]
+    for _ in range(top):
+        q_pow.append(q_pow[-1] * q)
+    return q_pow
+
+
+def common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Numerators N_i and one denominator q with values[i] = N_i/q."""
+    # ints and Fractions already carry numerator and denominator.
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    q = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
 
 
 def _check_index(n: int, i: int) -> None:

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra.poly import MultiPoly, find_nonzero_point
+from .algebra.poly import MultiPoly, common_denominator, find_nonzero_point, powers, sum_terms
 from .algebra.powerexpr import PowerExpr
 from .algebra.ratfunc import RatFunc, divide_exact_qx
 from .finsler import REDUCIBLE, DerivedQuantities, MthRootMetric, OneForm, derive, minkowski_sufficient
@@ -53,9 +53,10 @@ class KropinaInstance:
         self._a_sq = self.a * self.a
         self._b_sq = self.b * self.b
         self._ys = [MultiPoly.var_y(metric.n, i) for i in range(1, metric.n + 1)]
-        # Derived polynomials built on first request, keyed by (what, l);
-        # MultiPoly is immutable, so callers may share them.
-        self._cache: dict[tuple[str, int], object] = {}
+        # Derived values built on first request, keyed by (what, l) or, for
+        # the oracle's stencil, ("stencil", (xs, ys, step)); MultiPoly is
+        # immutable, so callers may share them.
+        self._cache: dict[tuple[str, object], object] = {}
         self._route_checked: set[tuple[str, int]] = set()
 
     @property
@@ -66,7 +67,7 @@ class KropinaInstance:
     def m(self) -> int:
         return self.metric.m
 
-    def _memo(self, key: tuple[str, int], build):
+    def _memo(self, key: tuple[str, object], build):
         value = self._cache.get(key)
         if value is None:
             value = self._cache[key] = build()
@@ -577,20 +578,62 @@ class CrosscheckResult:
         }
 
 
-def _phi_value(inst: KropinaInstance, kind: str, xs, ys) -> float:
-    a_val = float(inst.a.evaluate(xs, ys))
-    b_val = float(inst.b.evaluate(xs, ys))
-    if a_val <= 0.0:
+def _phi(kind: str, m: int, a: float, b: float) -> float:
+    """L (dually flat) or Fbar (Hamel) from the values of A and beta."""
+    if a <= 0.0:
         raise ValueError("A is nonpositive at a stencil point")
-    if b_val == 0.0:
+    if b == 0.0:
         raise ValueError("beta vanishes at a stencil point")
     if kind == DUALLY_FLAT:
-        return a_val ** (4.0 / inst.m) / (b_val * b_val)
-    return a_val ** (2.0 / inst.m) / b_val
+        return a ** (4.0 / m) / (b * b)
+    return a ** (2.0 / m) / b
 
 
-def _shift(point: tuple[Fraction, ...], i: int, delta: Fraction) -> tuple[Fraction, ...]:
-    return point[:i] + (point[i] + delta,) + point[i + 1:]
+# A stencil offset: (x index, x sign, y index, y sign), index None if unshifted.
+Offset = tuple[int | None, int, int | None, int]
+_BASE: Offset = (None, 0, None, 0)
+
+
+def _stencil_offsets(n: int) -> list[Offset]:
+    """The base point, x_l +- h, and (x_k +- h, y_l +- h) for all k, l."""
+    offsets = [_BASE]
+    for l in range(n):
+        offsets += [(l, 1, None, 0), (l, -1, None, 0)]
+        offsets += [(k, sx, l, sy) for k in range(n) for sx in (1, -1) for sy in (1, -1)]
+    return offsets
+
+
+def _stencil_values(
+    polys: tuple[MultiPoly, ...], xs: tuple[Fraction, ...], ys: tuple[Fraction, ...], step: Fraction
+) -> tuple[dict[Offset, tuple[float, ...]], tuple[Fraction, ...]]:
+    """Each polynomial at every stencil point around (xs, ys), as floats.
+
+    Returns ({offset: values}, exact values at the base point).  The point
+    and the step are brought to one denominator q once, so each stencil
+    point is the base numerator vector with +-H = step*q added to one x-
+    and/or one y-coordinate, and no Fraction is built.  Each value is the
+    integer sum over D * q^top, rounded by int/int division, which equals
+    float() of the exact value bit for bit.
+    """
+    n = len(xs)
+    base, q = common_denominator(ys + xs + (step,))
+    big_h = base.pop()
+    forms = [p.integer_form() for p in polys]
+    q_pow = powers(q, max(top for _, top, _ in forms))
+    values = {}
+    exact = ()
+    for offset in _stencil_offsets(n):
+        xk, sx, yl, sy = offset
+        nums = list(base)
+        if xk is not None:
+            nums[n + xk] += sx * big_h
+        if yl is not None:
+            nums[yl] += sy * big_h
+        sums = [(sum_terms(rows, nums, q_pow), d * q_pow[top]) for d, top, rows in forms]
+        values[offset] = tuple(total / den for total, den in sums)
+        if offset == _BASE:
+            exact = tuple(Fraction(total, den) for total, den in sums)
+    return values, exact
 
 
 def numeric_crosscheck(
@@ -607,8 +650,13 @@ def numeric_crosscheck(
     polynomial residual by the evaluated clearing prefactor, and reports
     the relative disagreement per index l.  The residual is the instance's
     cached, route-checked one, so repeated points rebuild nothing.
-    Polynomial evaluation at the stencil points is exact; only the
-    fractional powers are floating.
+
+    A and beta are evaluated exactly at each of the 1 + n(4n+2) stencil
+    points, in integers over one denominator shared by the point and the
+    step, and rounded to floats by a correctly rounded int/int division;
+    only the fractional powers are floating.  The stencil values are
+    cached on the instance per (point, step), so the dually flat and the
+    Hamel check at one point evaluate A and beta once between them.
 
     Stencil truncation and rounding both scale with the magnitude of the
     differentiated function, not with the (often much smaller) residual,
@@ -623,8 +671,9 @@ def numeric_crosscheck(
     step = Fraction(h)
     if step <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    a_val = inst.a.evaluate(xs, ys)
-    b_val = inst.b.evaluate(xs, ys)
+    values, (a_val, b_val) = inst._memo(
+        ("stencil", (xs, ys, step)), lambda: _stencil_values((inst.a, inst.b), xs, ys, step)
+    )
     if a_val <= 0:
         raise ValueError(f"A must be positive at the sample point, got {a_val}")
     if b_val <= 0:
@@ -634,17 +683,21 @@ def numeric_crosscheck(
     h_float = float(step)
     if tolerance is None:
         tolerance = max(1e-6, 100.0 * h_float * h_float)
+    a0, b0 = values[_BASE]
     if kind == DUALLY_FLAT:
         factor = 2.0
-        prefactor = m * m * float(b_val) ** 4 * float(a_val) ** (2.0 - 4.0 / m)
+        prefactor = m * m * b0 ** 4 * a0 ** (2.0 - 4.0 / m)
     else:
         factor = 1.0
-        prefactor = m * m * float(b_val) ** 3 * float(a_val) ** (2.0 - 2.0 / m)
+        prefactor = m * m * b0 ** 3 * a0 ** (2.0 - 2.0 / m)
+
+    def phi(offset: Offset) -> float:
+        return _phi(kind, m, *values[offset])
 
     result = CrosscheckResult(
         kind=kind, point=format_point(xs, ys), h=h_float, tolerance=tolerance
     )
-    function_scale = abs(_phi_value(inst, kind, xs, ys))
+    function_scale = abs(phi(_BASE))
     for l in range(1, n + 1):
         if kind == DUALLY_FLAT:
             residual = dually_flat_residual(inst, l)
@@ -655,20 +708,15 @@ def numeric_crosscheck(
         numeric = 0.0
         term_scale = 0.0
         for k in range(n):
-            xp = _shift(xs, k, step)
-            xm = _shift(xs, k, -step)
             mixed = (
-                _phi_value(inst, kind, xp, _shift(ys, l - 1, step))
-                - _phi_value(inst, kind, xp, _shift(ys, l - 1, -step))
-                - _phi_value(inst, kind, xm, _shift(ys, l - 1, step))
-                + _phi_value(inst, kind, xm, _shift(ys, l - 1, -step))
+                phi((k, 1, l - 1, 1))
+                - phi((k, 1, l - 1, -1))
+                - phi((k, -1, l - 1, 1))
+                + phi((k, -1, l - 1, -1))
             ) / (4.0 * h_float * h_float)
             numeric += mixed * float(ys[k])
             term_scale += abs(mixed * float(ys[k]))
-        first = (
-            _phi_value(inst, kind, _shift(xs, l - 1, step), ys)
-            - _phi_value(inst, kind, _shift(xs, l - 1, -step), ys)
-        ) / (2.0 * h_float)
+        first = (phi((l - 1, 1, None, 0)) - phi((l - 1, -1, None, 0))) / (2.0 * h_float)
         numeric -= factor * first
         term_scale += abs(factor * first)
 

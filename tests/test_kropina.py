@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kropinaflat import (
     FAILS,
@@ -32,7 +33,14 @@ from kropinaflat import (
     parse,
     prop31_condition,
 )
-from kropinaflat.kropina import _residual_expanded, _residual_pexpr, DUALLY_FLAT, HAMEL
+from kropinaflat.kropina import (
+    _residual_expanded,
+    _residual_pexpr,
+    _stencil_offsets,
+    _stencil_values,
+    DUALLY_FLAT,
+    HAMEL,
+)
 from conftest import make_instance
 from instgen import random_instance
 
@@ -396,3 +404,105 @@ def test_residual_cache_is_shared_and_route_checked_once(build_counts):
     assert build_counts == {"pexpr": [(DUALLY_FLAT, 1)], "expanded": [(DUALLY_FLAT, 1)]}
     assert condition_brackets(inst, 2) is condition_brackets(inst, 2)
     assert prop31_condition(inst, 2) is prop31_condition(inst, 2)
+
+
+# -- the oracle's integer stencil ---------------------------------------------------
+
+def test_crosscheck_evaluates_a_and_beta_once_per_stencil_point(monkeypatch):
+    """Both kinds share one evaluation of A and beta at each stencil point."""
+    import kropinaflat.algebra.poly as poly
+    import kropinaflat.cli as cli
+    import kropinaflat.kropina as kropina
+    from kropinaflat import build_instance
+
+    spec = _seed11_spec()
+    inst = build_instance(spec)
+    names = {id(inst.a.integer_form()[2]): "A", id(inst.b.integer_form()[2]): "beta"}
+    counts = {"A": 0, "beta": 0}
+    real_sum = poly.sum_terms
+
+    def counting(rows, nums, q_pow):
+        name = names.get(id(rows))
+        if name:
+            counts[name] += 1
+        return real_sum(rows, nums, q_pow)
+
+    real_sample = cli.sample_admissible_points
+
+    def sample_uncounted(*args):
+        points = real_sample(*args)
+        counts.update(A=0, beta=0)
+        return points
+
+    monkeypatch.setattr(poly, "sum_terms", counting)
+    monkeypatch.setattr(kropina, "sum_terms", counting)
+    monkeypatch.setattr(cli, "sample_admissible_points", sample_uncounted)
+    cli.run_command("crosscheck", spec, None, None, inst=inst)
+    n, points = inst.n, spec.numeric_points
+    assert (n, points) == (2, 20)
+    per_point = 1 + n * (4 * n + 2)
+    assert counts == {"A": per_point * points, "beta": per_point * points}
+
+
+def _shifted(point, offset, step):
+    xs, ys = list(point[0]), list(point[1])
+    xk, sx, yl, sy = offset
+    if xk is not None:
+        xs[xk] += sx * step
+    if yl is not None:
+        ys[yl] += sy * step
+    return xs, ys
+
+
+_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=10**4)
+_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@st.composite
+def _polys_and_point(draw):
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    monomials = st.tuples(exponents, exponents)
+    polys = tuple(
+        MultiPoly(n, draw(st.dictionaries(monomials, _coefficients, max_size=8)))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    xs = tuple(draw(_coordinates) for _ in range(n))
+    ys = tuple(draw(_coordinates) for _ in range(n))
+    return polys, (xs, ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys_and_point(), st.sampled_from([Fraction(1e-4), Fraction(1, 1000)]))
+def test_stencil_values_are_the_rounded_exact_values(case, step):
+    polys, point = case
+    values, exact = _stencil_values(polys, *point, step)
+    offsets = _stencil_offsets(len(point[0]))
+    assert sorted(values, key=repr) == sorted(offsets, key=repr)
+    assert exact == tuple(p.evaluate(*point) for p in polys)
+    for offset in offsets:
+        shifted = _shifted(point, offset, step)
+        assert values[offset] == tuple(float(p.evaluate(*shifted)) for p in polys)
+
+
+@pytest.mark.parametrize("kind", [DUALLY_FLAT, HAMEL])
+def test_oracle_fails_a_residual_shifted_by_a_small_multiple_of_the_function(kind, monkeypatch):
+    """eps*m^2*beta^2*A^2 added to every R_l (H_l) moves R_l/prefactor by eps*L (eps*Fbar)."""
+    import kropinaflat.kropina as kropina
+    from kropinaflat import build_instance, numeric_crosscheck, sample_admissible_points
+
+    spec = _seed11_spec()
+    inst = build_instance(spec)
+    points = sample_admissible_points(inst, spec.numeric_points, spec.seed)
+    assert len(points) == 20
+    assert all(numeric_crosscheck(inst, kind, point, 1e-4).passed for point in points)
+
+    shift = Fraction(inst.m ** 2, 10**4) * (inst.b * inst.a) ** 2
+    name = "dually_flat_residual" if kind == DUALLY_FLAT else "hamel_residual"
+    real = getattr(kropina, name)
+    monkeypatch.setattr(kropina, name, lambda inst, l, self_check=True: real(inst, l) + shift)
+    assert not any(numeric_crosscheck(inst, kind, point, 1e-4).passed for point in points)
