@@ -12,6 +12,15 @@ leading y-monomial of a fiberwise homogeneous polynomial independent of its
 x-coefficients, which exact division relies on.
 
 The zero polynomial has an empty term map and prints as "0".
+
+Products are computed in Python ints.  Each factor is packed once, on first
+use: every monomial becomes one int holding y1..yn, then x1..xn, in fields
+of `PACK_WIDTH` bits, so that multiplying monomials is adding their keys, and
+the coefficients become integers c*D over the lcm D of their denominators.
+The product sums the integer pair products per key and builds one Fraction
+per output term, over Da*Db.  A field cannot carry into its neighbour: when
+the largest exponents of the two factors sum to 2^PACK_WIDTH or more, both
+are packed again with fields wide enough for that sum.
 """
 from __future__ import annotations
 
@@ -24,6 +33,9 @@ from typing import Iterable, Mapping
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 _ZERO = Fraction(0)
+
+# Bits per exponent field of a packed monomial; see MultiPoly._packed_form.
+PACK_WIDTH = 16
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -59,26 +71,41 @@ class MultiPoly:
 
     Values are immutable after construction; all operations return new
     polynomials, so instances are safe to share between threads.  The
-    integer form that evaluation uses is cached on first use, so `terms`
-    must never be modified in place.
+    integer form that evaluation uses and the packed form that products use
+    are cached on first use, so `terms` must never be modified in place.
     """
 
-    __slots__ = ("n", "terms", "_int_form")
+    __slots__ = ("n", "terms", "_int_form", "_packed")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | None = None):
         if n < 1:
             raise ValueError(f"need at least one variable per block, got n={n}")
-        self.n = n
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = Fraction(coeff)
                 if c != 0:
                     clean[mono] = c
-        self.terms = clean
+        self._init(n, clean)
+
+    def _init(self, n: int, terms: dict[Monomial, Fraction]) -> None:
+        self.n = n
+        self.terms = terms
         self._int_form: IntegerForm | None = None
+        self._packed: PackedForm | None = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _clean(cls, n: int, terms: dict[Monomial, Fraction]) -> MultiPoly:
+        """A polynomial owning `terms`, which must hold only nonzero Fractions.
+
+        For results the arithmetic has built itself; skips the validation
+        that the public constructor runs on every term.
+        """
+        p = cls.__new__(cls)
+        p._init(n, terms)
+        return p
 
     @classmethod
     def zero(cls, n: int) -> MultiPoly:
@@ -188,7 +215,7 @@ class MultiPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = c
-        return MultiPoly(self.n, out)
+        return MultiPoly._clean(self.n, out)
 
     __radd__ = __add__
 
@@ -206,38 +233,60 @@ class MultiPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = c
-        return MultiPoly(self.n, out)
+        return MultiPoly._clean(self.n, out)
 
     def __rsub__(self, other) -> MultiPoly:
         return (-self) + other
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.n, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._clean(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> MultiPoly:
+        """Product, computed in Python ints over packed monomial keys.
+
+        Both factors are taken in their packed form (see `_packed_form`):
+        each pair of terms adds its keys and multiplies its integer
+        coefficients, the sums are kept per key, and each nonzero sum
+        becomes one Fraction over Da*Db.  If the largest exponents of the
+        two factors sum to 2^PACK_WIDTH or more, both are packed with
+        fields of that sum's bit length, so no field carries into the next.
+        """
         scalar = _as_scalar(other)
         if scalar is not None:
             if scalar == 0:
                 return MultiPoly(self.n)
-            return MultiPoly(self.n, {m: c * scalar for m, c in self.terms.items()})
+            return MultiPoly._clean(self.n, {m: c * scalar for m, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same(other)
         if not self.terms or not other.terms:
             return MultiPoly(self.n)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
+        a, b = self, other
+        if len(a.terms) > len(b.terms):
             a, b = b, a
+        _, ea, da, pa = a._packed_form()
+        _, eb, db, pb = b._packed_form()
+        width = PACK_WIDTH
+        if ea + eb >= 1 << PACK_WIDTH:
+            width = (ea + eb).bit_length()
+            _, _, da, pa = a._packed_form(width)
+            _, _, db, pb = b._packed_form(width)
+        sums: dict[int, int] = {}
+        get = sums.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                sums[k] = get(k, 0) + ca * cb
+        den = da * db
+        n = self.n
+        mask = (1 << width) - 1
+        shifts = range(0, 2 * n * width, width)
         out: dict[Monomial, Fraction] = {}
-        for mono_a, ca in a.items():
-            for mono_b, cb in b.items():
-                mono = _mono_mul(mono_a, mono_b)
-                c = out.get(mono, _ZERO) + ca * cb
-                if c == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = c
-        return MultiPoly(self.n, out)
+        for k, c in sums.items():
+            if c:
+                exps = tuple([(k >> s) & mask for s in shifts])
+                out[exps[:n], exps[n:]] = Fraction(c, den) if den != 1 else Fraction(c)
+        return MultiPoly._clean(n, out)
 
     __rmul__ = __mul__
 
@@ -283,7 +332,7 @@ class MultiPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = nc
-        return MultiPoly(self.n, out)
+        return MultiPoly._clean(self.n, out)
 
     def diff_y(self, i: int) -> MultiPoly:
         """Exact partial derivative with respect to y_i (1-based)."""
@@ -301,7 +350,7 @@ class MultiPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = nc
-        return MultiPoly(self.n, out)
+        return MultiPoly._clean(self.n, out)
 
     def euler_contract_y(self) -> MultiPoly:
         """Sum over i of y_i * d/dy_i, computed termwise.
@@ -314,7 +363,33 @@ class MultiPoly:
             d = sum(mono[0])
             if d:
                 out[mono] = c * d
-        return MultiPoly(self.n, out)
+        return MultiPoly._clean(self.n, out)
+
+    def _packed_form(self, width: int = PACK_WIDTH) -> PackedForm:
+        """(width, emax, D, pairs): the polynomial packed for `__mul__`.
+
+        emax is the largest exponent of any variable and D the lcm of the
+        coefficient denominators.  Each pair is (key, c*D), where the key
+        holds the exponents of y1..yn, x1..xn in fields of `width` bits,
+        lowest first.  The keys are only meaningful when emax fits in
+        `width` bits.  The form last asked for is kept, since the
+        polynomial is immutable.
+        """
+        form = self._packed
+        if form is None or form[0] != width:
+            coeffs, d = common_denominator(self.terms.values())
+            shifts = range(0, 2 * self.n * width, width)
+            pairs = []
+            emax = 0
+            for (yexp, xexp), c in zip(self.terms, coeffs):
+                key = 0
+                for e, s in zip(yexp + xexp, shifts):
+                    key |= e << s
+                    if e > emax:
+                        emax = e
+                pairs.append((key, c))
+            form = self._packed = (width, emax, d, pairs)
+        return form
 
     # -- evaluation --------------------------------------------------------
 
@@ -387,6 +462,9 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly(n={self.n}, {to_text(self)!r})"
 
+
+# (width, emax, D, [(key, c*D)]); see MultiPoly._packed_form.
+PackedForm = tuple[int, int, int, list[tuple[int, int]]]
 
 # (D, top, rows); see MultiPoly.integer_form.
 IntegerForm = tuple[int, int, tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__, corpus_dir
 from .finsler import verify_euler_identities, verify_inverse_identities
-from .instancefile import InstanceError, InstanceFile, build_instance, load_instance_file
+from .instancefile import InstanceError, InstanceFile, build_instance, load_instance_file, parse_expressions
 from .kropina import (
     DUALLY_FLAT,
     HAMEL,
@@ -129,14 +129,22 @@ def exit_code_for(reports: list[ConditionReport]) -> int:
 
 
 def _instance_echo(spec: InstanceFile, inst: KropinaInstance | None = None) -> dict:
+    """The spec, plus the canonical A and beta when the spec is valid.
+
+    Without `inst`, only the expressions are parsed: the echo needs no
+    derived quantity.
+    """
     echo = spec.to_dict()
-    if inst is None:
+    if inst is not None:
+        a, b = inst.a, inst.b
+    else:
         try:
-            inst = build_instance(spec)
+            metric, beta = parse_expressions(spec)
         except InstanceError:
             return echo
-    echo["A_canonical"] = str(inst.a)
-    echo["beta_canonical"] = str(inst.b)
+        a, b = metric.a, beta.as_poly()
+    echo["A_canonical"] = str(a)
+    echo["beta_canonical"] = str(b)
     return echo
 
 

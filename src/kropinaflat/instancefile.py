@@ -132,8 +132,8 @@ def load_instance_file(path: str | Path) -> InstanceFile:
     return parse_instance_text(text, source=str(path))
 
 
-def build_instance(spec: InstanceFile) -> KropinaInstance:
-    """Parse and validate the expressions, returning a ready instance."""
+def parse_expressions(spec: InstanceFile) -> tuple[MthRootMetric, OneForm]:
+    """Parse and validate A and beta, without deriving anything from them."""
     try:
         a = parse(spec.a_text, spec.n)
     except ParseError as exc:
@@ -161,7 +161,15 @@ def build_instance(spec: InstanceFile) -> KropinaInstance:
     if beta_poly.homogeneous_y_degree() != 1:
         raise InstanceError("key 'beta': must be y-homogeneous of degree 1")
     try:
-        beta = OneForm.from_poly(beta_poly)
+        return metric, OneForm.from_poly(beta_poly)
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from exc
+
+
+def build_instance(spec: InstanceFile) -> KropinaInstance:
+    """Parse and validate the expressions, returning a ready instance."""
+    metric, beta = parse_expressions(spec)
+    try:
         return KropinaInstance(metric, beta)
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc

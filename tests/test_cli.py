@@ -253,3 +253,36 @@ def test_report_reuses_the_built_instance(capsys, monkeypatch):
     echo = json.loads(out)["instance"]
     assert echo["A_canonical"] == "y1^3 + y1*y2^2 + y2^3"
     assert echo["beta_canonical"] == "y1"
+
+
+def test_report_echo_without_the_instance_derives_nothing(monkeypatch):
+    import kropinaflat.cli as cli
+    import kropinaflat.kropina as kropina
+    from kropinaflat import load_instance_file
+
+    spec = load_instance_file(E3)
+    inst = cli.build_instance(spec)
+    with_inst = cli._document("check-dually-flat", spec, [], inst)
+    calls = []
+    real_derive = kropina.derive
+
+    def counting_derive(*args):
+        calls.append(args)
+        return real_derive(*args)
+
+    monkeypatch.setattr(kropina, "derive", counting_derive)
+    assert cli._document("check-dually-flat", spec, []) == with_inst
+    assert calls == []
+    assert with_inst["instance"]["A_canonical"] == str(inst.a)
+    assert with_inst["instance"]["beta_canonical"] == str(inst.b)
+
+
+def test_report_echo_of_an_invalid_spec_is_the_spec_alone():
+    import kropinaflat.cli as cli
+    from kropinaflat import InstanceError, InstanceFile
+
+    for a_text in ("y1^2 + y2^2", "y1^3 + (y2"):
+        spec = InstanceFile(n=2, m=3, a_text=a_text, beta_text="y1")
+        with pytest.raises(InstanceError):
+            cli.build_instance(spec)
+        assert cli._instance_echo(spec) == spec.to_dict()

@@ -220,6 +220,79 @@ def test_integer_evaluate_zero_and_constant_polynomials():
         MultiPoly.const(2, 1).evaluate((0, 0, 0), (0,))
 
 
+# -- packed products and trusted results ---------------------------------------
+
+def _reference_product(a: MultiPoly, b: MultiPoly) -> dict:
+    """Plain per-pair Fraction product over exponent tuples, independent of __mul__."""
+    out: dict = {}
+    for (ya, xa), ca in a.terms.items():
+        for (yb, xb), cb in b.terms.items():
+            mono = (tuple(i + j for i, j in zip(ya, yb)), tuple(i + j for i, j in zip(xa, xb)))
+            out[mono] = out.get(mono, Fraction(0)) + ca * cb
+    return {mono: c for mono, c in out.items() if c != 0}
+
+
+@st.composite
+def _poly_pair(draw):
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    polys = st.dictionaries(st.tuples(exponents, exponents), _rationals, max_size=8)
+    return MultiPoly(n, draw(polys)), MultiPoly(n, draw(polys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_pair())
+def test_packed_product_matches_per_pair_fractions(pair):
+    a, b = pair
+    product = a * b
+    assert product.terms == _reference_product(a, b)
+    assert all(type(c) is Fraction for c in product.terms.values())
+    assert (b * a).terms == product.terms
+    # The cross terms of (a + b)(a - b) cancel, and no zero sum may stay.
+    assert ((a + b) * (a - b)).terms == _reference_product(a + b, a - b)
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        # Exponent sum beyond the 16-bit field: 70000 needs 17 bits.
+        ("y1^40000*x1^3", "y1^30000", {((70000, 0), (3, 0)): 1}),
+        # A field summing to exactly 2^16 - 1 still fits 16 bits.
+        ("3*y1^40000*y2", "y1^25535 - x2", {((65535, 1), (0, 0)): 3, ((40000, 1), (0, 1)): -3}),
+        # Exactly 2^16 would carry into y2 at 16 bits.
+        ("3*y1^40000*y2", "y1^25536 - x2", {((65536, 1), (0, 0)): 3, ((40000, 1), (0, 1)): -3}),
+        # Both operands at the limit, in the x-block's last field.
+        ("1/2*x2^65535", "2*x2^65535 + y1", {((0, 0), (0, 131070)): 1, ((1, 0), (0, 65535)): Fraction(1, 2)}),
+    ],
+)
+def test_packed_product_across_the_field_boundary(left, right, expected):
+    a, b = P(left), P(right)
+    want = {mono: Fraction(c) for mono, c in expected.items()}
+    assert (a * b).terms == want
+    assert (b * a).terms == want
+    assert (a * b).terms == _reference_product(a, b)
+    # The operands multiply correctly again afterwards at the default width.
+    assert (a * a).terms == _reference_product(a, a)
+
+
+def _results_of_trusted_ops(p: MultiPoly, q: MultiPoly) -> list[MultiPoly]:
+    n = p.n
+    out = [p * q, p + q, p - q, -p, p * Fraction(-3, 7), p * 2, p + 1, p - Fraction(1, 2)]
+    for i in range(1, n + 1):
+        out += [p.diff_x(i), p.diff_y(i)]
+    out.append(p.euler_contract_y())
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_pair())
+def test_trusted_results_hold_only_nonzero_fractions(pair):
+    p, q = pair
+    for r in _results_of_trusted_ops(p, q) + _results_of_trusted_ops(q, p) + _results_of_trusted_ops(p, p):
+        assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+        assert r == MultiPoly(r.n, dict(r.terms))
+
+
 # -- exact division -----------------------------------------------------------
 
 def test_divide_factorization():
