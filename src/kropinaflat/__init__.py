@@ -20,17 +20,11 @@ from .algebra import (
 )
 from .finsler import (
     DerivedQuantities,
-    FundamentalTensorNormalized,
     IrreducibilityStatus,
     MthRootMetric,
     OneForm,
-    SymmetricTensor,
     derive,
-    fundamental_tensor,
     irreducibility_heuristic,
-    minkowski_sufficient,
-    polynomial_to_tensor,
-    tensor_to_polynomial,
     verify_euler_identities,
     verify_inverse_identities,
 )
@@ -70,7 +64,6 @@ __all__ = [
     "HOLDS",
     "INCONCLUSIVE",
     "DerivedQuantities",
-    "FundamentalTensorNormalized",
     "InstanceError",
     "InstanceFile",
     "IrreducibilityStatus",
@@ -82,7 +75,6 @@ __all__ = [
     "PowerExpr",
     "RatFunc",
     "RatPoly",
-    "SymmetricTensor",
     "ThetaExtraction",
     "ThetaForm",
     "__version__",
@@ -101,20 +93,16 @@ __all__ = [
     "dually_flat_residual",
     "extract_theta",
     "find_nonzero_point",
-    "fundamental_tensor",
     "hamel_residual",
     "irreducibility_heuristic",
     "kropina_F",
     "kropina_L",
     "load_instance_file",
-    "minkowski_sufficient",
     "numeric_crosscheck",
     "parse",
     "parse_instance_text",
-    "polynomial_to_tensor",
     "prop31_condition",
     "sample_admissible_points",
-    "tensor_to_polynomial",
     "to_text",
     "verify_euler_identities",
     "verify_inverse_identities",

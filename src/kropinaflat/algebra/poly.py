@@ -146,9 +146,6 @@ class MultiPoly:
     def is_y_free(self) -> bool:
         return all(sum(mono[0]) == 0 for mono in self.terms)
 
-    def is_x_free(self) -> bool:
-        return all(sum(mono[1]) == 0 for mono in self.terms)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending canonical order (leading term first)."""
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True)
@@ -158,13 +155,6 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms, key=monomial_key)
         return mono, self.terms[mono]
-
-    def y_degree(self) -> int:
-        """Largest total y-degree over all terms (0 for the zero polynomial)."""
-        return max((sum(m[0]) for m in self.terms), default=0)
-
-    def x_degree(self) -> int:
-        return max((sum(m[1]) for m in self.terms), default=0)
 
     def max_var_degree(self) -> int:
         deg = 0
@@ -350,19 +340,6 @@ class MultiPoly:
                 out.pop(mono, None)
             else:
                 out[mono] = nc
-        return MultiPoly._clean(self.n, out)
-
-    def euler_contract_y(self) -> MultiPoly:
-        """Sum over i of y_i * d/dy_i, computed termwise.
-
-        Each monomial is an eigenvector of the contraction with eigenvalue
-        equal to its total y-degree, so no products are formed.
-        """
-        out = {}
-        for mono, c in self.terms.items():
-            d = sum(mono[0])
-            if d:
-                out[mono] = c * d
         return MultiPoly._clean(self.n, out)
 
     def _packed_form(self, width: int = PACK_WIDTH) -> PackedForm:

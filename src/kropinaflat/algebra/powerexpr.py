@@ -18,7 +18,6 @@ the nonnegative integers.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -183,28 +182,6 @@ class PowerExpr:
                 b_pows[b_int] = self.ref_b ** b_int
             result = result + poly * a_pows[a_int] * b_pows[b_int]
         return result
-
-    def evaluate(self, xs, ys) -> float:
-        """Floating-point value at a point; A must be positive whenever a
-        fractional A-power appears and beta nonzero for negative powers."""
-        a_val = float(self.ref_a.evaluate(xs, ys))
-        b_val = float(self.ref_b.evaluate(xs, ys))
-        total = 0.0
-        for (a_exp, b_exp), poly in self.terms.items():
-            if a_exp.denominator != 1 and a_val <= 0.0:
-                raise ValueError("fractional power of a nonpositive base value")
-            if a_exp != 0:
-                a_part = math.pow(a_val, float(a_exp)) if a_exp.denominator != 1 else a_val ** int(a_exp)
-            else:
-                a_part = 1.0
-            if b_exp != 0:
-                if b_val == 0.0:
-                    raise ZeroDivisionError("beta vanishes at the evaluation point")
-                b_part = b_val ** b_exp
-            else:
-                b_part = 1.0
-            total += float(poly.evaluate(xs, ys)) * a_part * b_part
-        return total
 
     def __str__(self) -> str:
         if not self.terms:

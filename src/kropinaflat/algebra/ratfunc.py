@@ -14,7 +14,7 @@ x-polynomials arise naturally.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .poly import MultiPoly, divide_exact
 
@@ -97,14 +97,6 @@ class RatFunc:
         return self.num * other.den == other.num * self.den
 
     __hash__ = None
-
-    def evaluate(self, xs: Iterable) -> Fraction:
-        """Exact value at a rational x-point; the denominator must not vanish there."""
-        zeros = (Fraction(0),) * self.n
-        den_val = self.den.evaluate(xs, zeros)
-        if den_val == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(xs, zeros) / den_val
 
     def __str__(self) -> str:
         if self.den == 1:

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .algebra.poly import MultiPoly, divide_exact
 from .reports import FAILS, HOLDS, INCONCLUSIVE, Condition, ConditionReport
-from .algebra.powerexpr import PowerExpr
 
 ASSERTED = "asserted"
 HEURISTICALLY_CONSISTENT = "heuristically_consistent"
@@ -38,76 +37,6 @@ class IrreducibilityStatus:
         if self.kind == REDUCIBLE:
             return f"{self.kind}({self.factor})"
         return self.kind
-
-
-class SymmetricTensor:
-    """Symmetric rank-m tensor with x-only polynomial entries.
-
-    Entries are keyed by sorted index tuples (1-based, i1 <= ... <= im), so
-    symmetry holds by construction; missing tuples are zero.
-    """
-
-    def __init__(self, n: int, m: int, entries: dict[tuple[int, ...], MultiPoly] | None = None):
-        self.n = n
-        self.m = m
-        self.entries: dict[tuple[int, ...], MultiPoly] = {}
-        for idx, value in (entries or {}).items():
-            self.set(idx, value)
-
-    def set(self, idx: tuple[int, ...], value: MultiPoly) -> None:
-        if len(idx) != self.m:
-            raise ValueError(f"index tuple {idx} has length != m={self.m}")
-        if any(not 1 <= i <= self.n for i in idx):
-            raise ValueError(f"index tuple {idx} out of range 1..{self.n}")
-        if not value.is_y_free():
-            raise ValueError("tensor entries must not depend on y")
-        key = tuple(sorted(idx))
-        if value.is_zero():
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = value
-
-    def get(self, idx: tuple[int, ...]) -> MultiPoly:
-        return self.entries.get(tuple(sorted(idx)), MultiPoly.zero(self.n))
-
-
-def _multiplicity(idx: tuple[int, ...]) -> int:
-    counts: dict[int, int] = {}
-    for i in idx:
-        counts[i] = counts.get(i, 0) + 1
-    result = math.factorial(len(idx))
-    for c in counts.values():
-        result //= math.factorial(c)
-    return result
-
-
-def tensor_to_polynomial(tensor: SymmetricTensor) -> MultiPoly:
-    """Full symmetric contraction with y, with multinomial multiplicities."""
-    n = tensor.n
-    total = MultiPoly.zero(n)
-    for idx, entry in tensor.entries.items():
-        y_mono = MultiPoly.const(n, 1)
-        for i in idx:
-            y_mono = y_mono * MultiPoly.var_y(n, i)
-        total = total + entry * y_mono * _multiplicity(idx)
-    return total
-
-
-def polynomial_to_tensor(a: MultiPoly, m: int) -> SymmetricTensor:
-    """Polarization: a_{i1..im} = (1/m!) d^m A / dy_{i1}..dy_{im}."""
-    if a.is_zero():
-        raise ValueError("zero polynomial defines no tensor")
-    if a.homogeneous_y_degree() != m:
-        raise ValueError(f"polynomial is not y-homogeneous of degree {m}")
-    n = a.n
-    tensor = SymmetricTensor(n, m)
-    inv_mfact = Fraction(1, math.factorial(m))
-    for idx in itertools.combinations_with_replacement(range(1, n + 1), m):
-        entry = a
-        for i in idx:
-            entry = entry.diff_y(i)
-        tensor.set(idx, entry * inv_mfact)
-    return tensor
 
 
 class MthRootMetric:
@@ -369,41 +298,6 @@ def verify_inverse_identities(metric: MthRootMetric) -> ConditionReport:
             Condition("(m-1)*A_i*A_j*adj^ij = m*det*A", FAILS, witness=str(diff2))
         )
     return report
-
-
-@dataclass
-class FundamentalTensorNormalized:
-    """g_hat_ij = m*A*A_ij + (2-m)*A_i*A_j together with its prefactor,
-    so that g_ij = prefactor * g_hat_ij."""
-
-    g_hat: list[list[MultiPoly]]
-    prefactor: PowerExpr
-
-
-def fundamental_tensor(metric: MthRootMetric) -> FundamentalTensorNormalized:
-    n, m, a = metric.n, metric.m, metric.a
-    a_i = [a.diff_y(i) for i in range(1, n + 1)]
-    g_hat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(a * a_i[i].diff_y(j + 1) * m + a_i[i] * a_i[j] * (2 - m))
-        g_hat.append(row)
-    prefactor = PowerExpr.single(
-        m,
-        a,
-        MultiPoly.const(n, 1),
-        MultiPoly.const(n, Fraction(1, m * m)),
-        Fraction(2, m) - 2,
-        0,
-    )
-    return FundamentalTensorNormalized(g_hat=g_hat, prefactor=prefactor)
-
-
-def minkowski_sufficient(metric: MthRootMetric) -> bool:
-    """True iff A has no x-dependence in this chart (sufficient for locally
-    Minkowskian; False is not a disproof)."""
-    return all(metric.a.diff_x(l).is_zero() for l in range(1, metric.n + 1))
 
 
 # -- irreducibility heuristic ------------------------------------------------

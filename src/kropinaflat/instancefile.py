@@ -117,7 +117,10 @@ def parse_instance_text(text: str, source: str | None = None) -> InstanceFile:
             "numeric_points", values["numeric_points"], lines["numeric_points"]
         )
         if spec.numeric_points < 1:
-            raise InstanceError("numeric_points must be positive")
+            raise InstanceError(
+                f"line {lines['numeric_points']}: key 'numeric_points' must be positive, "
+                f"got {spec.numeric_points}"
+            )
     if "seed" in values:
         spec.seed = _parse_int("seed", values["seed"], lines["seed"])
     return spec

@@ -12,9 +12,9 @@ Each residual is built once per instance, by differentiating the power
 expression and clearing the prefactor, and on its first route-checked
 request it is compared once with the expanded bracket form; the two must
 agree exactly (internal self-check).  Residuals, the bracket polynomials
-C1, C2, C3 and the projective condition T are cached on the instance and
-shared by every check; the brackets and T feed the theorem checkers, and
-the contraction probes verify the derived identities
+C1, C2, C3, the projective condition T and the theta extraction are cached
+on the instance and shared by every check; the brackets and T feed the
+theorem checkers, and the contraction probes verify the derived identities
 
   sum_l y^l C1_l = 2m A A_0        sum_l y^l T_l = m A A_0
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 from .algebra.poly import MultiPoly, common_denominator, find_nonzero_point, powers, sum_terms
 from .algebra.powerexpr import PowerExpr
 from .algebra.ratfunc import RatFunc, divide_exact_qx
-from .finsler import REDUCIBLE, DerivedQuantities, MthRootMetric, OneForm, derive, minkowski_sufficient
+from .finsler import REDUCIBLE, DerivedQuantities, MthRootMetric, OneForm, derive
 from .reports import FAILS, HOLDS, INCONCLUSIVE, Condition, ConditionReport, format_point
 
 DUALLY_FLAT = "dually_flat"
@@ -53,9 +53,9 @@ class KropinaInstance:
         self._a_sq = self.a * self.a
         self._b_sq = self.b * self.b
         self._ys = [MultiPoly.var_y(metric.n, i) for i in range(1, metric.n + 1)]
-        # Derived values built on first request, keyed by (what, l) or, for
-        # the oracle's stencil, ("stencil", (xs, ys, step)); MultiPoly is
-        # immutable, so callers may share them.
+        # Derived values built on first request, keyed by (what, l), by
+        # ("theta", None), or, for the oracle's stencil, ("stencil", (xs, ys,
+        # step)); MultiPoly is immutable, so callers may share them.
         self._cache: dict[tuple[str, object], object] = {}
         self._route_checked: set[tuple[str, int]] = set()
 
@@ -285,7 +285,24 @@ class ThetaExtraction:
     reason: str | None = None
 
 
-def _divide_a0_by_a(inst: KropinaInstance, scale: Fraction) -> ThetaExtraction:
+def extract_theta(inst: KropinaInstance) -> ThetaExtraction:
+    """Extract theta from A_0 = theta A by exact division over Q(x).
+
+    Zero A_0 yields theta = 0.  A refuted irreducibility hypothesis blocks
+    the extraction (the divisibility argument needs it), giving an
+    inconclusive result rather than a wrong one.  Extracted once per
+    instance; callers must not mutate the result.
+    """
+    return inst._memo(("theta", None), lambda: _extract_theta(inst))
+
+
+def _extract_theta(inst: KropinaInstance) -> ThetaExtraction:
+    status = inst.metric.irreducibility
+    if status.kind == REDUCIBLE:
+        return ThetaExtraction(
+            THETA_INCONCLUSIVE,
+            reason=f"irreducibility refuted: A has factor {status.factor}",
+        )
     n = inst.n
     a_0 = inst.derived.a_0
     if a_0.is_zero():
@@ -297,27 +314,8 @@ def _divide_a0_by_a(inst: KropinaInstance, scale: Fraction) -> ThetaExtraction:
         return ThetaExtraction(
             THETA_NOT_DIVISIBLE, reason="quotient A_0/A is not a 1-form"
         )
-    theta_l = []
-    for i in range(n):
-        yexp = tuple(1 if j == i else 0 for j in range(n))
-        theta_l.append(quotient.coefficient(yexp) * scale)
+    theta_l = [quotient.coefficient(tuple(int(j == i) for j in range(n))) for i in range(n)]
     return ThetaExtraction(THETA_OK, ThetaForm(theta_l))
-
-
-def extract_theta(inst: KropinaInstance) -> ThetaExtraction:
-    """Extract theta from A_0 = theta A by exact division over Q(x).
-
-    Zero A_0 yields theta = 0.  A refuted irreducibility hypothesis blocks
-    the extraction (the divisibility argument needs it), giving an
-    inconclusive result rather than a wrong one.
-    """
-    status = inst.metric.irreducibility
-    if status.kind == REDUCIBLE:
-        return ThetaExtraction(
-            THETA_INCONCLUSIVE,
-            reason=f"irreducibility refuted: A has factor {status.factor}",
-        )
-    return _divide_a0_by_a(inst, Fraction(1))
 
 
 COND_BETA_BRACKET = "beta-bracket: beta_0l*beta - 3*beta_l*beta_0 = 2*beta*beta_xl"
@@ -442,9 +440,10 @@ def check_theorem1(inst: KropinaInstance) -> ConditionReport:
 def check_prop31(inst: KropinaInstance) -> ConditionReport:
     """Projective bracket condition m A (A_0l - A_xl) = (m-2) A_0 A_l.
 
-    Attempts theta with the A_0 = 2m A theta scaling, reports the Berwald
-    conclusion, and reports the locally-Minkowskian endpoint only through
-    the sufficient x-free criterion.
+    Reports theta with the A_0 = 2m A theta scaling and the Berwald
+    conclusion.  When T_l = 0 for every l, the contraction probe forces
+    A_0 = 0, so A_0l = -A_xl and T_l = -2m A A_xl: A is x-free, hence
+    locally Minkowskian.  A nonzero A_xl there is an implementation fault.
     """
     n, m = inst.n, inst.m
     ts = [prop31_condition(inst, l) for l in range(1, n + 1)]
@@ -454,30 +453,20 @@ def check_prop31(inst: KropinaInstance) -> ConditionReport:
     )
     holds = report.overall == HOLDS
 
-    status = inst.metric.irreducibility
-    if status.kind == REDUCIBLE:
-        extraction = ThetaExtraction(
-            THETA_INCONCLUSIVE,
-            reason=f"irreducibility refuted: A has factor {status.factor}",
-        )
-    else:
-        extraction = _divide_a0_by_a(inst, Fraction(1, 2 * m))
+    extraction = extract_theta(inst)
+    theta = None
+    if extraction.theta is not None:
+        theta = ThetaForm([t * Fraction(1, 2 * m) for t in extraction.theta.theta_l])
     report.derived_facts["theta_status"] = extraction.status
-    report.derived_facts["theta"] = str(extraction.theta) if extraction.theta else None
+    report.derived_facts["theta"] = str(theta) if theta else None
     report.derived_facts["berwald"] = holds
     if holds:
-        sufficient = minkowski_sufficient(inst.metric)
-        report.derived_facts["minkowski_sufficient"] = sufficient
-        if sufficient:
-            report.derived_facts["minkowski_note"] = (
-                "locally Minkowskian: A has no x-dependence in this chart"
-            )
-        else:
-            report.derived_facts["minkowski_note"] = (
-                "a projectively flat change of this kind is locally "
-                "Minkowskian, but the x-free sufficient condition does not "
-                "hold in this chart"
-            )
+        if any(not a_xl.is_zero() for a_xl in inst.derived.a_xl):
+            raise RuntimeError("prop31 holds but A depends on x; implementation fault")
+        report.derived_facts["minkowski_sufficient"] = True
+        report.derived_facts["minkowski_note"] = (
+            "locally Minkowskian: A has no x-dependence in this chart"
+        )
         a0_zero = inst.derived.a_0.is_zero()
         report.derived_facts["t_consequence"] = (
             "T = 0 for all l forces A*A_0 = 0 (contraction probe), hence A_0 = 0; "
@@ -641,7 +630,6 @@ def numeric_crosscheck(
     kind: str,
     point: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
     h,
-    tolerance: float | None = None,
 ) -> CrosscheckResult:
     """Independent finite-difference oracle for the cleared residuals.
 
@@ -664,6 +652,7 @@ def numeric_crosscheck(
     residuals, the combined magnitude of the finite-difference terms, and
     the function value at the point.  An implementation fault shifts the
     residual by the order of the function scale and is still detected.
+    The tolerance is max(1e-6, 100 h^2).
     """
     if kind not in (DUALLY_FLAT, HAMEL):
         raise ValueError(f"unknown crosscheck kind {kind!r}")
@@ -681,8 +670,7 @@ def numeric_crosscheck(
 
     n, m = inst.n, inst.m
     h_float = float(step)
-    if tolerance is None:
-        tolerance = max(1e-6, 100.0 * h_float * h_float)
+    tolerance = max(1e-6, 100.0 * h_float * h_float)
     a0, b0 = values[_BASE]
     if kind == DUALLY_FLAT:
         factor = 2.0
@@ -727,36 +715,41 @@ def numeric_crosscheck(
     return result
 
 
+# A sample point needs A and beta at least SAMPLE_MARGIN, and each at least
+# SAMPLE_CONDITIONING times the sum of its term magnitudes there.
+SAMPLE_MARGIN = Fraction(1, 4)
+SAMPLE_CONDITIONING = Fraction(1, 8)
+
+
 def sample_admissible_points(
-    inst: KropinaInstance,
-    count: int,
-    seed: int,
-    margin: Fraction = Fraction(1, 4),
-    conditioning: Fraction = Fraction(1, 8),
+    inst: KropinaInstance, count: int, seed: int
 ) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """Seeded rational sample points where the oracle is well conditioned.
 
     Requires A and beta positive with an absolute floor, and additionally
     not small relative to the sum of their term magnitudes at the point;
     near the zero sets the logarithmic derivatives blow up and finite
-    differences lose all accuracy regardless of step size.
+    differences lose all accuracy regardless of step size.  Raises
+    ValueError unless count >= 1.
     """
+    if count < 1:
+        raise ValueError(f"number of sample points must be positive, got {count}")
     rng = random.Random(seed)
     n = inst.n
     points = []
     attempts = 0
-    max_attempts = 2000 * max(count, 1)
+    max_attempts = 2000 * count
     while len(points) < count and attempts < max_attempts:
         attempts += 1
         xs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
         ys = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n))
         a_val = inst.a.evaluate(xs, ys)
         b_val = inst.b.evaluate(xs, ys)
-        if a_val < margin or b_val < margin:
+        if a_val < SAMPLE_MARGIN or b_val < SAMPLE_MARGIN:
             continue
-        if a_val < conditioning * inst.a.evaluate_abs(xs, ys):
+        if a_val < SAMPLE_CONDITIONING * inst.a.evaluate_abs(xs, ys):
             continue
-        if b_val < conditioning * inst.b.evaluate_abs(xs, ys):
+        if b_val < SAMPLE_CONDITIONING * inst.b.evaluate_abs(xs, ys):
             continue
         points.append((xs, ys))
     if len(points) < count:

@@ -77,18 +77,3 @@ class ConditionReport:
             "derived_facts": self.derived_facts,
         }
 
-    def render_text(self) -> str:
-        lines = [f"[{self.overall.upper()}] {self.name}"]
-        for c in self.conditions:
-            lines.append(f"  - {c.name}: {c.verdict}")
-            if c.witness is not None:
-                lines.append(f"      witness: {c.witness}")
-            if c.witness_point is not None:
-                xs = ", ".join(c.witness_point["x"])
-                ys = ", ".join(c.witness_point["y"])
-                lines.append(f"      at point x=({xs}), y=({ys})")
-            if c.detail is not None:
-                lines.append(f"      note: {c.detail}")
-        for key in sorted(self.derived_facts):
-            lines.append(f"  derived {key}: {self.derived_facts[key]}")
-        return "\n".join(lines)

@@ -179,8 +179,8 @@ def test_criterion_5_oracle_agreement_and_convergence():
         e2 = make_instance(*E2_TEXT)
         point = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
         for kind in (DUALLY_FLAT, HAMEL):
-            coarse = numeric_crosscheck(e2, kind, point, Fraction(1, 100), tolerance=1.0)
-            fine = numeric_crosscheck(e2, kind, point, Fraction(1, 200), tolerance=1.0)
+            coarse = numeric_crosscheck(e2, kind, point, Fraction(1, 100))
+            fine = numeric_crosscheck(e2, kind, point, Fraction(1, 200))
             ratio = coarse.max_disagreement / fine.max_disagreement
             assert 3.0 <= ratio <= 5.0, f"{kind}: ratio {ratio:.2f}"
 

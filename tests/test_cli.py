@@ -1,17 +1,23 @@
 """Command line front end: exit codes, determinism, corpus behavior."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from kropinaflat import corpus_dir
-from kropinaflat.cli import main
+from kropinaflat.cli import CHECK_COMMANDS, main
 
 E1 = Path(corpus_dir()) / "minkowski.inst"
 E2 = Path(corpus_dir()) / "perturbed.inst"
 E3 = Path(corpus_dir()) / "beta-variable.inst"
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "corpus_reports.json"
+# Reports echo the input path, so the golden runs use this path relative to ROOT.
+GOLDEN_CORPUS = Path("src") / "kropinaflat" / "corpus"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -186,6 +192,40 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
     assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
 
 
+def test_prop31_guard_is_an_internal_fault(capsys, monkeypatch):
+    import kropinaflat.cli as cli
+    from kropinaflat import MultiPoly, prop31_condition
+
+    real_build = cli.build_instance
+
+    def build(spec):  # T_l cached as zero, then A_xl made nonzero
+        inst = real_build(spec)
+        for l in range(1, inst.n + 1):
+            prop31_condition(inst, l)
+        inst.derived.a_xl = [inst.a * MultiPoly.var_x(inst.n, 1)] * inst.n
+        return inst
+
+    monkeypatch.setattr(cli, "build_instance", build)
+    code = main(["check-prop31", "--input", str(E1)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: RuntimeError: prop31 holds but A depends on x; implementation fault"
+    )
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_crosscheck_rejects_nonpositive_points(capsys, points):
+    code = main(["crosscheck", "--input", str(E1), "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == f"error: number of sample points must be positive, got {points}"
+    assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
+
+
 def test_deep_parentheses_are_a_positioned_input_error(capsys, tmp_path):
     deep = tmp_path / "deep.inst"
     deep.write_text("n = 2\nm = 3\nA = " + "(" * 1200 + "y1" + ")" * 1200 + "^3 + y2^3\nbeta = y1\n")
@@ -286,3 +326,29 @@ def test_report_echo_of_an_invalid_spec_is_the_spec_alone():
         with pytest.raises(InstanceError):
             cli.build_instance(spec)
         assert cli._instance_echo(spec) == spec.to_dict()
+
+
+def corpus_reports(out: Path) -> dict:
+    """{"<command> <format> <file>": {"exit_code", "sha256"}} for every check
+    command in both formats on every bundled corpus file; run from ROOT.
+
+    GOLDEN holds this mapping, written as sorted, indented JSON; a change
+    that alters report bytes on purpose writes it again from its output.
+    """
+    reports = {}
+    for path in sorted((ROOT / GOLDEN_CORPUS).glob("*.inst")):
+        for command in CHECK_COMMANDS:
+            for fmt in ("text", "json"):
+                code = main([command, "--input", str(GOLDEN_CORPUS / path.name), "--format", fmt, "--out", str(out)])
+                reports[f"{command} {fmt} {path.name}"] = {
+                    "exit_code": code,
+                    "sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+                }
+    return reports
+
+
+def test_corpus_reports_match_their_golden_bytes(monkeypatch, tmp_path):
+    monkeypatch.chdir(ROOT)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) == 72
+    assert corpus_reports(tmp_path / "report") == golden

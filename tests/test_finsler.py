@@ -1,8 +1,7 @@
-"""Metric objects, tensor round-trips, and the unconditional identities."""
+"""Metric objects, derived quantities, the unconditional identities and irreducibility."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,15 +11,10 @@ from kropinaflat import (
     MthRootMetric,
     MultiPoly,
     OneForm,
-    SymmetricTensor,
     derive,
     divide_exact,
-    fundamental_tensor,
     irreducibility_heuristic,
-    minkowski_sufficient,
     parse,
-    polynomial_to_tensor,
-    tensor_to_polynomial,
     verify_euler_identities,
     verify_inverse_identities,
 )
@@ -30,66 +24,6 @@ from instgen import random_metric, random_metric_poly
 
 def X(text: str, n: int = 2) -> MultiPoly:
     return parse(text, n)
-
-
-# -- symmetric tensors ---------------------------------------------------------
-
-def test_tensor_contraction_with_multiplicities():
-    t = SymmetricTensor(2, 3)
-    t.set((1, 1, 1), X("1"))
-    t.set((1, 2, 2), X("1/3"))
-    t.set((2, 2, 2), X("1"))
-    assert tensor_to_polynomial(t) == X("y1^3 + y1*y2^2 + y2^3")
-
-
-def test_tensor_contraction_zero_and_x_coefficient():
-    assert tensor_to_polynomial(SymmetricTensor(2, 3)).is_zero()
-    t = SymmetricTensor(2, 3)
-    t.set((1, 1, 1), X("1 + x1"))
-    assert tensor_to_polynomial(t) == X("(1 + x1)*y1^3")
-
-
-def test_tensor_entry_validation():
-    t = SymmetricTensor(2, 3)
-    with pytest.raises(ValueError):
-        t.set((1, 2), X("1"))  # wrong arity
-    with pytest.raises(ValueError):
-        t.set((1, 2, 5), X("1"))  # index out of range
-    with pytest.raises(ValueError):
-        t.set((1, 1, 1), X("y1"))  # y-dependent entry
-    t.set((2, 1, 2), X("x1"))
-    assert t.get((1, 2, 2)) == X("x1")  # stored sorted
-
-
-def test_polarization_matches_contraction():
-    tensor = polynomial_to_tensor(X("y1^3 + y1*y2^2 + y2^3"), 3)
-    assert tensor.get((1, 1, 1)) == X("1")
-    assert tensor.get((1, 2, 2)) == X("1/3")
-    assert tensor.get((2, 2, 2)) == X("1")
-    assert tensor.get((1, 1, 2)).is_zero()
-
-
-def test_polarization_m2_raw_but_metric_rejects():
-    tensor = polynomial_to_tensor(X("y1*y2"), 2)
-    assert tensor.get((1, 2)) == X("1/2")
-    with pytest.raises(ValueError):
-        MthRootMetric(2, 2, X("y1*y2"))
-
-
-def test_polarization_rejects_zero_and_inhomogeneous():
-    with pytest.raises(ValueError):
-        polynomial_to_tensor(MultiPoly.zero(2), 3)
-    with pytest.raises(ValueError):
-        polynomial_to_tensor(X("y1^3 + y2"), 3)
-
-
-def test_tensor_roundtrip_random():
-    rng = random.Random(101)
-    for _ in range(40):
-        n = rng.choice([2, 3])
-        m = rng.choice([3, 4, 5])
-        a = random_metric_poly(rng, n, m)
-        assert tensor_to_polynomial(polynomial_to_tensor(a, m)) == a
 
 
 # -- metric and one-form validation --------------------------------------------
@@ -103,6 +37,8 @@ def test_metric_validation():
         MthRootMetric(2, 3, X("y1^4"))  # wrong degree
     with pytest.raises(ValueError):
         MthRootMetric(2, 4, X("y1^4 + y2^3"))  # inhomogeneous
+    with pytest.raises(ValueError):
+        MthRootMetric(2, 2, X("y1*y2"))  # m must exceed 2
 
 
 def test_oneform_validation():
@@ -205,75 +141,6 @@ def test_inverse_identities_n3():
     assert report.overall == HOLDS
 
 
-# -- fundamental tensor ----------------------------------------------------------
-
-def test_fundamental_tensor_frozen_entry():
-    # 3*A*6*y1 - (3*y1^2 + y2^2)^2, expanded by hand
-    metric = MthRootMetric(2, 3, X("y1^3 + y1*y2^2 + y2^3"))
-    g = fundamental_tensor(metric)
-    assert g.g_hat[0][0] == X("9*y1^4 + 12*y1^2*y2^2 + 18*y1*y2^3 - y2^4")
-    assert g.g_hat[0][1] == g.g_hat[1][0]
-
-
-def test_fundamental_tensor_prefactor_identity_numeric():
-    # g_ij is the fiber Hessian of F^2/2 with F^2 = A^(2/m); check
-    # prefactor * ghat_ij against central finite differences of A^(2/m)
-    from fractions import Fraction as Fr
-
-    metric = MthRootMetric(2, 3, X("(1 + x1)*y1^3 + y1*y2^2 + y2^3"))
-    g = fundamental_tensor(metric)
-    xs, ys = (Fr(1, 2), Fr(0)), (Fr(1), Fr(1, 2))
-    h = Fr(1, 10000)
-
-    def f_squared(yy):
-        return float(metric.a.evaluate(xs, yy)) ** (2.0 / metric.m)
-
-    for i in range(2):
-        for j in range(2):
-            def shift(di, dj):
-                yy = list(ys)
-                yy[i] += di
-                yy[j] += dj
-                return tuple(yy)
-
-            if i == j:
-                hess = (
-                    f_squared(shift(h, 0)) - 2.0 * f_squared(ys) + f_squared(shift(-h, 0))
-                ) / float(h) ** 2
-            else:
-                hess = (
-                    f_squared(shift(h, h))
-                    - f_squared(shift(h, -h))
-                    - f_squared(shift(-h, h))
-                    + f_squared(shift(-h, -h))
-                ) / (4.0 * float(h) ** 2)
-            g_ij = 0.5 * hess
-            symbolic = g.prefactor.evaluate(xs, ys) * float(g.g_hat[i][j].evaluate(xs, ys))
-            assert abs(symbolic - g_ij) <= 1e-6 * max(1.0, abs(symbolic))
-
-
-def test_fundamental_tensor_contraction_random():
-    # y^i y^j ghat_ij = m^2 A^2, a consequence of the degree contractions
-    rng = random.Random(77)
-    for _ in range(20):
-        n = rng.choice([2, 3])
-        m = rng.choice([3, 4, 5])
-        metric = random_metric(rng, n, m)
-        g = fundamental_tensor(metric)
-        total = MultiPoly.zero(n)
-        ys = [MultiPoly.var_y(n, i) for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(n):
-                total = total + ys[i] * ys[j] * g.g_hat[i][j]
-        assert total == metric.a * metric.a * (m * m)
-        for i in range(n):
-            for j in range(n):
-                entry = g.g_hat[i][j]
-                assert entry == g.g_hat[j][i]
-                if not entry.is_zero():
-                    assert entry.homogeneous_y_degree() == 2 * m - 2
-
-
 # -- irreducibility heuristic ----------------------------------------------------
 
 def test_sum_of_cubes_is_reducible():
@@ -305,14 +172,6 @@ def test_x_dependent_factor_is_beyond_the_heuristic():
     a = X("y1 + x1*y2") * X("y1^2 + y2^2")
     status = irreducibility_heuristic(MthRootMetric(2, 3, a))
     assert status.kind == HEURISTICALLY_CONSISTENT
-
-
-# -- Minkowski sufficient --------------------------------------------------------
-
-def test_minkowski_sufficient_cases():
-    assert minkowski_sufficient(MthRootMetric(2, 3, X("y1^3 + y1*y2^2 + y2^3")))
-    assert not minkowski_sufficient(MthRootMetric(2, 3, X("(1 + x1)*y1^3 + y1*y2^2 + y2^3")))
-    assert not minkowski_sufficient(MthRootMetric(2, 3, X("x2*y1^3 + y2^3")))
 
 
 @pytest.mark.parametrize(

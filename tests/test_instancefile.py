@@ -58,6 +58,12 @@ def test_document_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_nonpositive_numeric_points_error_has_its_line():
+    with pytest.raises(InstanceError) as err:
+        parse_instance_text("n = 2\nm = 3\nA = y1^3\nbeta = y1\n\nnumeric_points = 0\n")
+    assert str(err.value) == "line 6: key 'numeric_points' must be positive, got 0"
+
+
 @pytest.mark.parametrize(
     "a,beta,fragment",
     [

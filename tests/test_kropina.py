@@ -27,11 +27,13 @@ from kropinaflat import (
     condition_brackets,
     contraction_probes,
     dually_flat_residual,
+    extract_theta,
     hamel_residual,
     kropina_F,
     kropina_L,
     parse,
     prop31_condition,
+    RatFunc,
 )
 from kropinaflat.kropina import (
     _residual_expanded,
@@ -41,7 +43,7 @@ from kropinaflat.kropina import (
     DUALLY_FLAT,
     HAMEL,
 )
-from conftest import make_instance
+from conftest import E1_TEXT, E4_TEXT, make_instance
 from instgen import random_instance
 
 
@@ -69,7 +71,9 @@ def test_kropina_L_numeric_value(e2):
     a_val = float(e2.a.evaluate(xs, ys))
     b_val = float(e2.b.evaluate(xs, ys))
     expected = (a_val ** (1.0 / 3.0)) ** 4 / b_val**2
-    assert abs(kropina_L(e2).evaluate(xs, ys) - expected) <= 1e-12 * abs(expected)
+    [((a_exp, b_exp), coeff)] = kropina_L(e2).terms.items()
+    value = float(coeff.evaluate(xs, ys)) * a_val ** float(a_exp) * b_val**b_exp
+    assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 # -- residuals -------------------------------------------------------------------
@@ -266,13 +270,52 @@ def test_prop31_e4_fails(e4):
 
 
 def test_prop31_theta_scaling(e4):
-    # on the conformal family the 2m-scaled extraction gives theta_1 = 1/(2m(1+x1))
-    from kropinaflat import RatFunc
-    from kropinaflat.kropina import _divide_a0_by_a
+    # on the conformal family the 2m-scaled theta is theta_1 = 1/(2m(1+x1)),
+    # scaled from a copy: the shared extraction keeps theta_1 = 1/(1+x1)
+    report = check_prop31(e4)
+    assert report.derived_facts["theta_status"] == "ok"
+    assert report.derived_facts["theta"] == "((1/6)/(x1 + 1))*y1"
+    assert extract_theta(e4).theta.theta_l[0] == RatFunc(X("1"), X("1 + x1"))
+    assert check_theorem1(e4).derived_facts["theta"] == "((1)/(x1 + 1))*y1"
 
-    extraction = _divide_a0_by_a(e4, Fraction(1, 2 * e4.m))
-    assert extraction.status == "ok"
-    assert extraction.theta.theta_l[0] == RatFunc(X("1"), X("6 + 6*x1"))
+
+def test_theta_is_extracted_once_per_instance(monkeypatch):
+    import kropinaflat.kropina as kropina
+
+    calls = []
+    real_divide = kropina.divide_exact_qx
+
+    def counting_divide(num, den):
+        calls.append(num)
+        return real_divide(num, den)
+
+    monkeypatch.setattr(kropina, "divide_exact_qx", counting_divide)
+    inst = make_instance(*E4_TEXT)
+    check_theorem1(inst)
+    check_prop31(inst)
+    assert extract_theta(inst) is extract_theta(inst)
+    assert len(calls) == 1
+
+
+def test_prop31_guard_raises_on_x_dependent_a_when_it_holds():
+    inst = make_instance(*E1_TEXT)
+    for l in (1, 2):  # T_l cached as zero, then A_xl made nonzero
+        prop31_condition(inst, l)
+    inst.derived.a_xl = [inst.a * MultiPoly.var_x(2, 1)] * 2
+    with pytest.raises(RuntimeError, match="prop31 holds but A depends on x"):
+        check_prop31(inst)
+
+
+def test_prop31_holds_exactly_when_a_is_x_free():
+    rng = random.Random(31)
+    seen = set()
+    for n in (2, 3):
+        for x_degree in (0, 0, 1, 2):
+            inst = random_instance(rng, n=n, m=rng.choice([3, 4]), x_degree=x_degree)
+            x_free = all(a_xl.is_zero() for a_xl in inst.derived.a_xl)
+            assert (check_prop31(inst).overall == HOLDS) == x_free
+            seen.add(x_free)
+    assert seen == {True, False}
 
 
 def test_prop31_minkowski_note_when_not_sufficient():

@@ -69,8 +69,8 @@ def test_zero_equivalence_for_x_free_instance():
 def test_second_order_convergence(e2):
     # halving h shrinks the disagreement about fourfold (central stencils)
     for kind in (DUALLY_FLAT, HAMEL):
-        coarse = numeric_crosscheck(e2, kind, POINT, Fraction(1, 100), tolerance=1.0)
-        fine = numeric_crosscheck(e2, kind, POINT, Fraction(1, 200), tolerance=1.0)
+        coarse = numeric_crosscheck(e2, kind, POINT, Fraction(1, 100))
+        fine = numeric_crosscheck(e2, kind, POINT, Fraction(1, 200))
         ratio = coarse.max_disagreement / fine.max_disagreement
         assert 3.0 <= ratio <= 5.0
 

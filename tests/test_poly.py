@@ -96,50 +96,6 @@ def test_derivations_commute_random():
         assert p.diff_y(i).diff_x(j) == p.diff_x(j).diff_y(i)
 
 
-# -- Euler contraction --------------------------------------------------------
-
-def test_euler_on_homogeneous_cubic():
-    p = P("y1^3 + y1*y2^2 + y2^3")
-    assert p.euler_contract_y() == p * 3
-
-
-def test_euler_degree_one():
-    p = P("x1*y1")
-    assert p.euler_contract_y() == p
-
-
-def test_euler_termwise_on_inhomogeneous():
-    assert P("y1^2 + y2^3").euler_contract_y() == P("2*y1^2 + 3*y2^3")
-
-
-def test_euler_matches_derivative_route_random():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.choice([2, 3])
-        p = random_poly(rng, n)
-        explicit = MultiPoly.zero(n)
-        for i in range(1, n + 1):
-            explicit = explicit + MultiPoly.var_y(n, i) * p.diff_y(i)
-        assert p.euler_contract_y() == explicit
-
-
-def test_euler_scales_homogeneous_random():
-    rng = random.Random(13)
-    for _ in range(40):
-        n = rng.choice([2, 3])
-        d = rng.randint(1, 5)
-        # random y-homogeneous polynomial of degree d
-        p = MultiPoly.zero(n)
-        for _ in range(rng.randint(1, 5)):
-            mono = MultiPoly.const(n, rng.randint(1, 4))
-            for _ in range(d):
-                mono = mono * MultiPoly.var_y(n, rng.randint(1, n))
-            if rng.random() < 0.5:
-                mono = mono * MultiPoly.var_x(n, rng.randint(1, n))
-            p = p + mono
-        assert p.euler_contract_y() == p * d
-
-
 # -- homogeneity and evaluation ----------------------------------------------
 
 def test_homogeneous_y_degree():
@@ -280,7 +236,6 @@ def _results_of_trusted_ops(p: MultiPoly, q: MultiPoly) -> list[MultiPoly]:
     out = [p * q, p + q, p - q, -p, p * Fraction(-3, 7), p * 2, p + 1, p - Fraction(1, 2)]
     for i in range(1, n + 1):
         out += [p.diff_x(i), p.diff_y(i)]
-    out.append(p.euler_contract_y())
     return out
 
 

@@ -50,13 +50,6 @@ def test_exact_cancellation_normalizes():
     assert r.num == X("x1 + 1")
 
 
-def test_evaluate():
-    r = RatFunc(X("1"), X("1 + x1"))
-    assert r.evaluate((1, 0)) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        r.evaluate((-1, 0))
-
-
 def test_divide_qx_conformal_example():
     # A_0 = y1 * A0(y), A = (1+x1) * A0(y): quotient is y1/(1+x1)
     a0_base = X("y1^3 + y1*y2^2 + y2^3")

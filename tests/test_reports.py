@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kropinaflat import FAILS, HOLDS, INCONCLUSIVE, Condition, ConditionReport
+from kropinaflat.cli import _render_check_text
 from kropinaflat.reports import format_point
 
 
@@ -36,7 +37,7 @@ def test_to_dict_shape_and_optional_fields():
     assert data["conditions"][0] == {"name": "ok", "verdict": HOLDS}
     assert data["conditions"][1]["witness"] == "y1"
     assert data["derived_facts"] == {"key": True}
-    text = report.render_text()
+    text = _render_check_text(report.to_dict())
     assert "[FAILS] demo" in text
     assert "witness: y1" in text
 
