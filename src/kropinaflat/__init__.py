@@ -11,7 +11,6 @@ from .algebra import (
     ParseError,
     PowerExpr,
     RatFunc,
-    RatPoly,
     divide_exact,
     divide_exact_qx,
     find_nonzero_point,
@@ -74,7 +73,6 @@ __all__ = [
     "ParseError",
     "PowerExpr",
     "RatFunc",
-    "RatPoly",
     "ThetaExtraction",
     "ThetaForm",
     "__version__",

@@ -5,14 +5,13 @@ expressions, and the text grammar for polynomial input."""
 from .parser import ParseError, parse
 from .poly import MultiPoly, divide_exact, find_nonzero_point, monomial_key, to_text
 from .powerexpr import PowerExpr
-from .ratfunc import RatFunc, RatPoly, divide_exact_qx
+from .ratfunc import RatFunc, divide_exact_qx
 
 __all__ = [
     "MultiPoly",
     "ParseError",
     "PowerExpr",
     "RatFunc",
-    "RatPoly",
     "divide_exact",
     "divide_exact_qx",
     "find_nonzero_point",

@@ -1,4 +1,4 @@
-"""Rational functions in the x-block and y-polynomials over them.
+"""Rational functions in the x-block and exact division over them.
 
 RatFunc is a quotient num/den of two x-only polynomials.  Equality is by
 cross-multiplication (num1*den2 == num2*den1), so no multivariate gcd is
@@ -6,15 +6,13 @@ ever required for correctness; a cheap normalization (monic denominator,
 cancellation when the division happens to be exact) keeps the common
 conformal-factor cases tidy.
 
-RatPoly is a polynomial in the y variables with RatFunc coefficients.  It
-is the coefficient field used to extract 1-forms by exact division of a
-y-senior polynomial by another (divide_exact_qx), where quotients of
-x-polynomials arise naturally.
+divide_exact_qx divides one polynomial by another over Q(x), treating them
+as polynomials in y with RatFunc coefficients, to extract 1-forms; its
+quotient maps y-exponents to RatFunc coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
 from .poly import MultiPoly, divide_exact
 
@@ -107,85 +105,17 @@ class RatFunc:
         return f"RatFunc({self!s})"
 
 
-class RatPoly:
-    """Polynomial in y1..yn with RatFunc coefficients, keyed by y-exponent tuple."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], RatFunc] | None = None):
-        self.n = n
-        clean: dict[tuple[int, ...], RatFunc] = {}
-        if terms:
-            for yexp, coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[yexp] = coeff
-        self.terms = clean
-
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly) -> RatPoly:
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for yexp in p.y_monomials():
-            out[yexp] = RatFunc(p.coefficient_of_y(yexp))
-        return cls(p.n, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, yexp: tuple[int, ...]) -> RatFunc:
-        return self.terms.get(yexp, RatFunc.const(self.n, 0))
-
-    def homogeneous_y_degree(self) -> int | None:
-        if not self.terms:
-            raise ValueError("zero polynomial has no homogeneous degree")
-        degrees = {sum(yexp) for yexp in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for yexp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            mono = "*".join(
-                f"y{i}^{e}" if e > 1 else f"y{i}"
-                for i, e in enumerate(yexp, start=1)
-                if e
-            )
-            coeff = str(self.terms[yexp])
-            if not mono:
-                pieces.append(coeff)
-            elif coeff == "1":
-                pieces.append(mono)
-            else:
-                pieces.append(f"({coeff})*{mono}" if "/" in coeff or " " in coeff else f"{coeff}*{mono}")
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({self!s})"
-
-
 def _ydeg_key(yexp: tuple[int, ...]) -> tuple:
     return (sum(yexp), yexp)
 
 
-def divide_exact_qx(num: MultiPoly, den: MultiPoly) -> RatPoly | None:
+def divide_exact_qx(num: MultiPoly, den: MultiPoly) -> dict[tuple[int, ...], RatFunc] | None:
     """Exact quotient of num by den over the rational functions in x.
 
     Treats both polynomials as elements of Q(x)[y] and eliminates leading
     y-monomials in graded-lex order; the x-content of each term becomes a
-    RatFunc coefficient.  Returns the quotient when den divides num over
-    this field, otherwise None.
+    RatFunc coefficient.  Returns the quotient as {y-exponent: nonzero
+    coefficient} when den divides num over this field, otherwise None.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -201,8 +131,8 @@ def divide_exact_qx(num: MultiPoly, den: MultiPoly) -> RatPoly | None:
         dm = tuple(a - b for a, b in zip(y_r, lead_y))
         if any(e < 0 for e in dm):
             return None
-        factor = rem[y_r] / lead_coeff
-        quotient[dm] = quotient.get(dm, RatFunc.const(n, 0)) + factor
+        # The leading y-monomial of rem falls at every step, so each dm is new.
+        factor = quotient[dm] = rem[y_r] / lead_coeff
         for y_d, c_d in den_terms.items():
             key = tuple(a + b for a, b in zip(dm, y_d))
             updated = rem.get(key, RatFunc.const(n, 0)) - factor * c_d
@@ -210,4 +140,4 @@ def divide_exact_qx(num: MultiPoly, den: MultiPoly) -> RatPoly | None:
                 rem.pop(key, None)
             else:
                 rem[key] = updated
-    return RatPoly(n, quotient)
+    return quotient

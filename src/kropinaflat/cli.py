@@ -298,15 +298,14 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="instance file")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("text", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None, help="override the instance seed")
-        p.add_argument("--points", type=int, default=None, help="override numeric_points")
+        if name == "crosscheck":  # the only command that samples points
+            p.add_argument("--seed", type=int, default=None, help="override the instance seed")
+            p.add_argument("--points", type=int, default=None, help="override numeric_points")
 
     p = sub.add_parser("corpus")
     p.add_argument("--input", default=None, help="directory of instance files (default: bundled corpus)")
     p.add_argument("--out", help="write the summary to this path instead of stdout")
     p.add_argument("--format", choices=("text", "json"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--points", type=int, default=None)
     return parser
 
 
@@ -328,7 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             spec = load_instance_file(args.input)
             inst = build_instance(spec)
-            reports = run_command(args.command, spec, args.seed, args.points, inst)
+            seed, points = getattr(args, "seed", None), getattr(args, "points", None)
+            reports = run_command(args.command, spec, seed, points, inst)
             document = _document(args.command, spec, reports, inst)
             code = document["exit_code"]
             _emit(document, fmt, args.out)

@@ -1,20 +1,24 @@
 """Kropina change of an m-th root metric and its flatness checkers.
 
 For F = A^(1/m) and a 1-form beta, the Kropina change is Fbar = F^2/beta,
-so L = Fbar^2 = A^(4/m)/beta^2.  Both flatness PDEs are decided on
-denominator-cleared polynomial residuals, with fractional powers confined
-to the PowerExpr construction route and never touching the decision path:
+so L = Fbar^2 = A^(4/m)/beta^2.  Both flatness PDEs are decided on the
+denominator-cleared polynomial residual of Phi = A^(p/m) beta^q,
 
-  dually flat   R_l = m^2 beta^4 A^(2-4/m) [ L_{x^k y^l} y^k - 2 L_{x^l} ]
-  Hamel         H_l = m^2 beta^3 A^(2-2/m) [ Fbar_{x^k y^l} y^k - Fbar_{x^l} ]
+  m^2 A^(2-p/m) beta^(2-q) [ y^k Phi_{x^k y^l} - c Phi_{x^l} ],
 
-Each residual is built once per instance, by differentiating the power
-expression and clearing the prefactor, and on its first route-checked
-request it is compared once with the expanded bracket form; the two must
-agree exactly (internal self-check).  Residuals, the bracket polynomials
-C1, C2, C3, the projective condition T and the theta extraction are cached
-on the instance and shared by every check; the brackets and T feed the
-theorem checkers, and the contraction probes verify the derived identities
+with (p, q, c) = (4, -2, 2), Phi = L, for the dually flat R_l and
+(2, -1, 1), Phi = Fbar, for the Hamel H_l.  Fractional powers stay in the
+PowerExpr route, which builds m^2 [(Phi_0)_{y^l} - (c+1) Phi_{x^l}] from
+Phi_0 = y^k Phi_{x^k}, formed once per kind.  On its first route-checked
+request each residual is compared once with the expanded bracket form
+
+  beta^2 [p(p-m) A_l A_0 + pm A (A_0l - c A_xl)] + pqm A beta C2_l
+    + m^2 A^2 [q(q-1) beta_l beta_0 + q beta (beta_0l - c beta_xl)];
+
+the two must agree exactly (internal self-check).  Its seven products, the
+brackets C1, C2, C3 and T built from them, the residuals and the theta
+extraction are cached on the instance and shared by every check; the
+contraction probes verify the derived identities
 
   sum_l y^l C1_l = 2m A A_0        sum_l y^l T_l = m A A_0
 
@@ -38,6 +42,9 @@ from .reports import FAILS, HOLDS, INCONCLUSIVE, Condition, ConditionReport, for
 DUALLY_FLAT = "dually_flat"
 HAMEL = "hamel"
 
+# (p, q, c) of each residual kind; see the module docstring.
+_KINDS = {DUALLY_FLAT: (4, -2, 2), HAMEL: (2, -1, 1)}
+
 
 class KropinaInstance:
     """An m-th root metric with a 1-form, plus cached derived quantities."""
@@ -51,11 +58,13 @@ class KropinaInstance:
         self.a = metric.a
         self.b = beta.as_poly()
         self._a_sq = self.a * self.a
+        self._ab = self.a * self.b
         self._b_sq = self.b * self.b
         self._ys = [MultiPoly.var_y(metric.n, i) for i in range(1, metric.n + 1)]
         # Derived values built on first request, keyed by (what, l), by
-        # ("theta", None), or, for the oracle's stencil, ("stencil", (xs, ys,
-        # step)); MultiPoly is immutable, so callers may share them.
+        # (what, kind), by ("theta", None), or, for the oracle's stencil,
+        # ("stencil", (xs, ys, step)); MultiPoly is immutable, so callers may
+        # share them.
         self._cache: dict[tuple[str, object], object] = {}
         self._route_checked: set[tuple[str, int]] = set()
 
@@ -74,19 +83,42 @@ class KropinaInstance:
         return value
 
 
+def _power_expr(inst: KropinaInstance, kind: str) -> PowerExpr:
+    p, q, _ = _KINDS[kind]
+    one = MultiPoly.const(inst.n, 1)
+    return PowerExpr.single(inst.m, inst.a, inst.b, one, Fraction(p, inst.m), q)
+
+
 def kropina_L(inst: KropinaInstance) -> PowerExpr:
     """L = Fbar^2 = A^(4/m) * beta^(-2) as a single-term power expression."""
-    one = MultiPoly.const(inst.n, 1)
-    return PowerExpr.single(inst.m, inst.a, inst.b, one, Fraction(4, inst.m), -2)
+    return _power_expr(inst, DUALLY_FLAT)
 
 
 def kropina_F(inst: KropinaInstance) -> PowerExpr:
     """Fbar = A^(2/m) * beta^(-1)."""
-    one = MultiPoly.const(inst.n, 1)
-    return PowerExpr.single(inst.m, inst.a, inst.b, one, Fraction(2, inst.m), -1)
+    return _power_expr(inst, HAMEL)
 
 
 # -- bracket polynomials -----------------------------------------------------
+
+def _bracket_products(inst: KropinaInstance, l: int) -> tuple[MultiPoly, ...]:
+    """The seven products every bracket at index l combines (cached):
+
+        A_l A_0, A A_0l, A A_xl, C2_l = beta_0 A_l + A_0 beta_l,
+        beta_l beta_0, beta beta_0l, beta beta_xl
+    """
+    def build():
+        d = inst.derived
+        k = l - 1
+        beta_l = inst.beta.b[k]
+        return (
+            d.a_i[k] * d.a_0, inst.a * d.a_0l[k], inst.a * d.a_xl[k],
+            d.beta_0 * d.a_i[k] + d.a_0 * beta_l,
+            beta_l * d.beta_0, inst.b * d.beta_0l[k], inst.b * d.beta_xl[k],
+        )
+
+    return inst._memo(("products", l), build)
+
 
 def condition_brackets(inst: KropinaInstance, l: int) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """The three cleared brackets of the dually-flat residual at index l.
@@ -95,16 +127,14 @@ def condition_brackets(inst: KropinaInstance, l: int) -> tuple[MultiPoly, MultiP
         C2_l = beta_0 A_l + A_0 beta_l
         C3_l = beta_0l beta - 3 beta_l beta_0 - 2 beta beta_xl
 
-    R_l = 4 beta^2 C1_l - 8m A beta C2_l - 2m^2 A^2 C3_l, verified once by
-    expansion against the power-expression route.  Cached on the instance.
+    R_l = 4 beta^2 C1_l - 8m A beta C2_l - 2m^2 A^2 C3_l.  Cached on the
+    instance.
     """
     def build():
-        d = inst.derived
-        m, a, b = inst.m, inst.a, inst.b
-        k = l - 1
-        c1 = d.a_i[k] * d.a_0 * (4 - m) + a * d.a_0l[k] * m - a * d.a_xl[k] * (2 * m)
-        c2 = d.beta_0 * d.a_i[k] + d.a_0 * inst.beta.b[k]
-        c3 = d.beta_0l[k] * b - inst.beta.b[k] * d.beta_0 * 3 - b * d.beta_xl[k] * 2
+        m = inst.m
+        al_a0, a_a0l, a_axl, c2, bl_b0, b_b0l, b_bxl = _bracket_products(inst, l)
+        c1 = al_a0 * (4 - m) + a_a0l * m - a_axl * (2 * m)
+        c3 = b_b0l - bl_b0 * 3 - b_bxl * 2
         return c1, c2, c3
 
     return inst._memo(("brackets", l), build)
@@ -113,45 +143,37 @@ def condition_brackets(inst: KropinaInstance, l: int) -> tuple[MultiPoly, MultiP
 def prop31_condition(inst: KropinaInstance, l: int) -> MultiPoly:
     """T_l = m A (A_0l - A_xl) - (m-2) A_0 A_l, the projective bracket (cached)."""
     def build():
-        d = inst.derived
-        k = l - 1
-        return inst.a * (d.a_0l[k] - d.a_xl[k]) * inst.m - d.a_0 * d.a_i[k] * (inst.m - 2)
+        al_a0, a_a0l, a_axl = _bracket_products(inst, l)[:3]
+        return (a_a0l - a_axl) * inst.m - al_a0 * (inst.m - 2)
 
     return inst._memo(("prop31", l), build)
 
 
-def _hamel_beta_bracket(inst: KropinaInstance, l: int) -> MultiPoly:
-    d = inst.derived
-    k = l - 1
-    return (
-        d.beta_0 * inst.beta.b[k] * 2
-        + inst.b * d.beta_xl[k]
-        - inst.b * d.beta_0l[k]
-    )
-
-
 # -- residuals ---------------------------------------------------------------
 
+def _phi_derivatives(inst: KropinaInstance, kind: str) -> tuple[list[PowerExpr], PowerExpr]:
+    """[Phi_{x^1}, ..., Phi_{x^n}] and Phi_0 = y^k Phi_{x^k} (cached per kind)."""
+    def build():
+        phi = _power_expr(inst, kind)
+        phi_x = [phi.diff("x", k) for k in range(1, inst.n + 1)]
+        phi_0 = PowerExpr.zero(inst.m, inst.a, inst.b)
+        for d_phi, y in zip(phi_x, inst._ys):
+            phi_0 = phi_0 + d_phi.scaled(y)
+        return phi_x, phi_0
+
+    return inst._memo(("phi", kind), build)
+
+
 def _residual_pexpr(inst: KropinaInstance, kind: str, l: int) -> MultiPoly:
-    n, m = inst.n, inst.m
-    if kind == DUALLY_FLAT:
-        base = kropina_L(inst)
-        factor = 2
-        clear_a = 2 - Fraction(4, m)
-        clear_b = 4
-    elif kind == HAMEL:
-        base = kropina_F(inst)
-        factor = 1
-        clear_a = 2 - Fraction(2, m)
-        clear_b = 3
-    else:
-        raise ValueError(f"unknown residual kind {kind!r}")
-    acc = PowerExpr.zero(m, inst.a, inst.b)
-    for k in range(1, n + 1):
-        acc = acc + base.diff("x", k).diff("y", l).scaled(inst._ys[k - 1])
-    acc = acc - base.diff("x", l).scaled(factor)
-    acc = acc.scaled(m * m)
-    poly = acc.normalize(clear_a, clear_b)
+    """m^2 [(Phi_0)_{y^l} - (c+1) Phi_{x^l}], cleared by A^(2-p/m) beta^(2-q).
+
+    Uses y^k Phi_{x^k y^l} = (Phi_0)_{y^l} - Phi_{x^l}.
+    """
+    p, q, c = _KINDS[kind]
+    m = inst.m
+    phi_x, phi_0 = _phi_derivatives(inst, kind)
+    acc = (phi_0.diff("y", l) - phi_x[l - 1].scaled(c + 1)).scaled(m * m)
+    poly = acc.normalize(2 - Fraction(p, m), 2 - q)
     if poly is None:
         raise RuntimeError(
             f"{kind} residual did not clear to a polynomial; implementation fault"
@@ -160,24 +182,17 @@ def _residual_pexpr(inst: KropinaInstance, kind: str, l: int) -> MultiPoly:
 
 
 def _residual_expanded(inst: KropinaInstance, kind: str, l: int) -> MultiPoly:
+    """The same residual as one bracket form over the seven products:
+
+        beta^2 [p(p-m) A_l A_0 + pm A (A_0l - c A_xl)] + pqm A beta C2_l
+          + m^2 A^2 [q(q-1) beta_l beta_0 + q beta (beta_0l - c beta_xl)]
+    """
+    p, q, c = _KINDS[kind]
     m = inst.m
-    if kind == DUALLY_FLAT:
-        c1, c2, c3 = condition_brackets(inst, l)
-        return (
-            inst._b_sq * c1 * 4
-            - inst.a * inst.b * c2 * (8 * m)
-            - inst._a_sq * c3 * (2 * m * m)
-        )
-    if kind == HAMEL:
-        t = prop31_condition(inst, l)
-        _, c2, _ = condition_brackets(inst, l)
-        d3 = _hamel_beta_bracket(inst, l)
-        return (
-            inst._b_sq * t * 2
-            - inst.a * inst.b * c2 * (2 * m)
-            + inst._a_sq * d3 * (m * m)
-        )
-    raise ValueError(f"unknown residual kind {kind!r}")
+    al_a0, a_a0l, a_axl, c2, bl_b0, b_b0l, b_bxl = _bracket_products(inst, l)
+    a_part = al_a0 * (p * (p - m)) + (a_a0l - a_axl * c) * (p * m)
+    b_part = bl_b0 * (m * m * q * (q - 1)) + (b_b0l - b_bxl * c) * (m * m * q)
+    return inst._b_sq * a_part + inst._ab * c2 * (p * q * m) + inst._a_sq * b_part
 
 
 def _cached_residual(inst: KropinaInstance, kind: str, l: int, self_check: bool) -> tuple[MultiPoly, bool]:
@@ -216,13 +231,10 @@ def hamel_residual(inst: KropinaInstance, l: int, self_check: bool = True) -> Mu
     return poly
 
 
-def _residual_conditions(inst: KropinaInstance, kind: str, label: str) -> list[Condition]:
+def _residual_conditions(inst: KropinaInstance, residual, label: str) -> list[Condition]:
     conditions = []
     for l in range(1, inst.n + 1):
-        if kind == DUALLY_FLAT:
-            poly = dually_flat_residual(inst, l)
-        else:
-            poly = hamel_residual(inst, l)
+        poly = residual(inst, l)
         name = f"{label}_{l} = 0"
         if poly.is_zero():
             conditions.append(Condition(name, HOLDS))
@@ -243,7 +255,7 @@ def check_dually_flat(inst: KropinaInstance) -> ConditionReport:
     """Direct PDE check: holds iff every cleared residual R_l is zero."""
     return ConditionReport(
         name="dually-flat",
-        conditions=_residual_conditions(inst, DUALLY_FLAT, "R"),
+        conditions=_residual_conditions(inst, dually_flat_residual, "R"),
     )
 
 
@@ -251,7 +263,7 @@ def check_projectively_flat(inst: KropinaInstance) -> ConditionReport:
     """Hamel criterion: holds iff every cleared residual H_l is zero."""
     return ConditionReport(
         name="projectively-flat",
-        conditions=_residual_conditions(inst, HAMEL, "H"),
+        conditions=_residual_conditions(inst, hamel_residual, "H"),
     )
 
 
@@ -310,11 +322,12 @@ def _extract_theta(inst: KropinaInstance) -> ThetaExtraction:
     quotient = divide_exact_qx(a_0, inst.a)
     if quotient is None:
         return ThetaExtraction(THETA_NOT_DIVISIBLE, reason="A does not divide A_0")
-    if quotient.homogeneous_y_degree() != 1:
+    if any(sum(yexp) != 1 for yexp in quotient):
         return ThetaExtraction(
             THETA_NOT_DIVISIBLE, reason="quotient A_0/A is not a 1-form"
         )
-    theta_l = [quotient.coefficient(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    zero = RatFunc.const(n, 0)
+    theta_l = [quotient.get(tuple(int(j == i) for j in range(n)), zero) for i in range(n)]
     return ThetaExtraction(THETA_OK, ThetaForm(theta_l))
 
 
@@ -686,12 +699,9 @@ def numeric_crosscheck(
         kind=kind, point=format_point(xs, ys), h=h_float, tolerance=tolerance
     )
     function_scale = abs(phi(_BASE))
+    residual_of = dually_flat_residual if kind == DUALLY_FLAT else hamel_residual
     for l in range(1, n + 1):
-        if kind == DUALLY_FLAT:
-            residual = dually_flat_residual(inst, l)
-        else:
-            residual = hamel_residual(inst, l)
-        symbolic = float(residual.evaluate(xs, ys)) / prefactor
+        symbolic = float(residual_of(inst, l).evaluate(xs, ys)) / prefactor
 
         numeric = 0.0
         term_scale = 0.0

@@ -226,6 +226,18 @@ def test_crosscheck_rejects_nonpositive_points(capsys, points):
     assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
 
 
+@pytest.mark.parametrize("flag", [("--points", "-7"), ("--seed", "5")])
+@pytest.mark.parametrize("command", [c for c in CHECK_COMMANDS if c != "crosscheck"] + ["corpus"])
+def test_only_crosscheck_accepts_seed_and_points(capsys, command, flag):
+    source = corpus_dir() if command == "corpus" else E1
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(source), *flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_deep_parentheses_are_a_positioned_input_error(capsys, tmp_path):
     deep = tmp_path / "deep.inst"
     deep.write_text("n = 2\nm = 3\nA = " + "(" * 1200 + "y1" + ")" * 1200 + "^3 + y2^3\nbeta = y1\n")

@@ -7,7 +7,7 @@ import kropinaflat.algebra
 PACKAGE = {
     "Condition", "ConditionReport", "FAILS", "HOLDS", "INCONCLUSIVE", "DerivedQuantities",
     "InstanceError", "InstanceFile", "IrreducibilityStatus", "KropinaInstance", "MthRootMetric",
-    "MultiPoly", "OneForm", "ParseError", "PowerExpr", "RatFunc", "RatPoly", "ThetaExtraction",
+    "MultiPoly", "OneForm", "ParseError", "PowerExpr", "RatFunc", "ThetaExtraction",
     "ThetaForm", "__version__", "build_instance", "check_dually_flat", "check_projectively_flat",
     "check_prop31", "check_theta_condition", "check_theorem1", "condition_brackets",
     "contraction_probes", "corpus_dir", "derive", "divide_exact", "divide_exact_qx",
@@ -17,7 +17,7 @@ PACKAGE = {
     "verify_euler_identities", "verify_inverse_identities",
 }
 ALGEBRA = {
-    "MultiPoly", "ParseError", "PowerExpr", "RatFunc", "RatPoly", "divide_exact",
+    "MultiPoly", "ParseError", "PowerExpr", "RatFunc", "divide_exact",
     "divide_exact_qx", "find_nonzero_point", "monomial_key", "parse", "to_text",
 }
 

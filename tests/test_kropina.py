@@ -97,14 +97,39 @@ def test_e2_hamel_residual_nonzero(e2):
 
 
 def test_dual_path_equality_random():
+    # twelve small instances, then the gen-checks shapes (n, m) = (3, 4), (4, 6)
     rng = random.Random(61)
-    for _ in range(12):
-        inst = random_instance(rng)
+    shapes = [(None, None, 2)] * 12 + [(3, 4, 3), (4, 6, 3)]
+    for n, m, x_degree in shapes:
+        inst = random_instance(rng, n=n, m=m, x_degree=x_degree)
         for l in range(1, inst.n + 1):
             assert _residual_pexpr(inst, DUALLY_FLAT, l) == _residual_expanded(
                 inst, DUALLY_FLAT, l
             )
             assert _residual_pexpr(inst, HAMEL, l) == _residual_expanded(inst, HAMEL, l)
+
+
+def test_residuals_differentiate_phi_2n_times_per_kind(monkeypatch):
+    """Per kind: Phi_{x^k} once for each k, then (Phi_0)_{y^l} once for each l."""
+    from kropinaflat.algebra.powerexpr import PowerExpr
+
+    calls = []
+    real_diff = PowerExpr.diff
+
+    def counting_diff(self, wrt, i):
+        calls.append((wrt, i))
+        return real_diff(self, wrt, i)
+
+    monkeypatch.setattr(PowerExpr, "diff", counting_diff)
+    rng = random.Random(73)
+    for n, m in ((2, 3), (3, 4), (4, 6)):
+        inst = random_instance(rng, n=n, m=m)
+        calls.clear()
+        for l in range(1, n + 1):
+            dually_flat_residual(inst, l)
+            hamel_residual(inst, l)
+        each_index = [("x", i) for i in range(1, n + 1)] + [("y", i) for i in range(1, n + 1)]
+        assert sorted(calls) == sorted(each_index * 2)
 
 
 def test_residual_scaling_in_beta():
